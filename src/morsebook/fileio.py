@@ -53,6 +53,13 @@ def _expect_keys(obj, required, optional, path):
             raise ParseError(path, "missing field %r" % (k,))
 
 
+def _list(value, path, size=None, shape="a list"):
+    """``value`` if it is a list (of ``size`` items, when given)."""
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise ParseError(path, "expected %s" % shape)
+    return value
+
+
 def _expect_format(obj, version, path):
     if obj.get("format") != version:
         raise ParseError(path + ".format", "expected %r" % (version,))
@@ -73,7 +80,7 @@ def parse_diagram(doc, path="diagram"):
         raise ParseError(path + ".binding_count", "must be a positive integer")
     pairs = []
     ids = set()
-    for i, p in enumerate(doc["trace_pairs"]):
+    for i, p in enumerate(_list(doc["trace_pairs"], path + ".trace_pairs")):
         ppath = "%s.trace_pairs[%d]" % (path, i)
         _expect_keys(p, {"id", "plus", "minus"}, {"teleports"}, ppath)
         if not isinstance(p["id"], int):
@@ -82,7 +89,7 @@ def parse_diagram(doc, path="diagram"):
         plus = _parse_curve(p["plus"], ppath + ".plus")
         minus = _parse_curve(p["minus"], ppath + ".minus")
         teleports = []
-        for j, t in enumerate(p.get("teleports", [])):
+        for j, t in enumerate(_list(p.get("teleports", []), ppath + ".teleports")):
             tpath = "%s.teleports[%d]" % (ppath, j)
             _expect_keys(
                 t, {"t", "side", "target_pair", "target_side", "orientation_sign"}, set(), tpath
@@ -91,6 +98,8 @@ def parse_diagram(doc, path="diagram"):
                 raise ParseError(tpath, "sides must be 'plus' or 'minus'")
             if t["orientation_sign"] not in (1, -1):
                 raise ParseError(tpath + ".orientation_sign", "must be +-1")
+            if not isinstance(t["target_pair"], int):
+                raise ParseError(tpath + ".target_pair", "must be an integer")
             teleports.append(
                 Teleport(
                     _rat(t["t"], tpath + ".t"),
@@ -123,9 +132,7 @@ def _parse_curve(strands_doc, path):
         pts = []
         for vi, triple in enumerate(strand):
             vpath = "%s[%d]" % (spath, vi)
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise ParseError(vpath, "expected [torus, x, t]")
-            torus, x, t = triple
+            torus, x, t = _list(triple, vpath, 3, "[torus, x, t]")
             if not isinstance(torus, int):
                 raise ParseError(vpath, "torus must be an integer")
             tori.add(torus)
@@ -182,23 +189,19 @@ def parse_front(doc, path="front"):
     _expect_keys(doc, {"format", "components"}, set(), path)
     _expect_format(doc, FRONT_FORMAT, path)
     comps = []
-    for ci, comp in enumerate(doc["components"]):
+    for ci, comp in enumerate(_list(doc["components"], path + ".components")):
         cpath = "%s.components[%d]" % (path, ci)
         _expect_keys(comp, {"vertices"}, {"closure"}, cpath)
-        closure = comp.get("closure", ["0", "0"])
-        if not isinstance(closure, list) or len(closure) != 2:
-            raise ParseError(cpath + ".closure", "expected [wx, wt]")
+        closure = _list(comp.get("closure", ["0", "0"]), cpath + ".closure", 2, "[wx, wt]")
         wx = _rat(closure[0], cpath + ".closure")
         wt = _rat(closure[1], cpath + ".closure")
         if wx.denominator != 1 or wt.denominator != 1:
             raise ParseError(cpath + ".closure", "closure windings must be integers")
         verts = []
         tori = set()
-        for vi, quad in enumerate(comp["vertices"]):
+        for vi, quad in enumerate(_list(comp["vertices"], cpath + ".vertices")):
             vpath = "%s.vertices[%d]" % (cpath, vi)
-            if not isinstance(quad, list) or len(quad) != 4:
-                raise ParseError(vpath, "expected [torus, x, t, annotation]")
-            torus, x, t, ann = quad
+            torus, x, t, ann = _list(quad, vpath, 4, "[torus, x, t, annotation]")
             if not isinstance(torus, int):
                 raise ParseError(vpath, "torus must be an integer")
             tori.add(torus)
@@ -247,18 +250,15 @@ def parse_page(doc, path="page"):
     _expect_format(doc, PAGE_FORMAT, path)
     disc = doc["disc"]
     _expect_keys(disc, {"center", "radius"}, set(), path + ".disc")
-    center = disc["center"]
-    if not isinstance(center, list) or len(center) != 2:
-        raise ParseError(path + ".disc.center", "expected [x, y]")
+    center = _list(disc["center"], path + ".disc.center", 2, "[x, y]")
     bands = []
-    for bi, band in enumerate(doc.get("bands", [])):
+    for bi, band in enumerate(_list(doc.get("bands", []), path + ".bands")):
         bpath = "%s.bands[%d]" % (path, bi)
         _expect_keys(band, {"corners"}, set(), bpath)
-        if len(band["corners"]) != 4:
-            raise ParseError(bpath + ".corners", "expected four corners")
-        corners = [
-            (_rat(c[0], bpath), _rat(c[1], bpath)) for c in band["corners"]
-        ]
+        corners = []
+        for c in _list(band["corners"], bpath + ".corners", 4, "four corners"):
+            c = _list(c, bpath + ".corners", 2, "[x, y]")
+            corners.append((_rat(c[0], bpath), _rat(c[1], bpath)))
         bands.append(Band(corners))
     return PageModel(
         (_rat(center[0], path), _rat(center[1], path)),
@@ -287,16 +287,15 @@ def parse_lagrangian(doc, path="lagr"):
     _expect_keys(doc, {"format", "components"}, {"crossings"}, path)
     _expect_format(doc, LAGR_FORMAT, path)
     comps = []
-    for ci, comp in enumerate(doc["components"]):
+    for ci, comp in enumerate(_list(doc["components"], path + ".components")):
         cpath = "%s.components[%d]" % (path, ci)
         pts = []
-        for vi, pt in enumerate(comp):
-            if not isinstance(pt, list) or len(pt) != 2:
-                raise ParseError("%s[%d]" % (cpath, vi), "expected [x, y]")
+        for vi, pt in enumerate(_list(comp, cpath)):
+            pt = _list(pt, "%s[%d]" % (cpath, vi), 2, "[x, y]")
             pts.append((_rat(pt[0], cpath), _rat(pt[1], cpath)))
         comps.append(pts)
     table = []
-    for ei, e in enumerate(doc.get("crossings", [])):
+    for ei, e in enumerate(_list(doc.get("crossings", []), path + ".crossings")):
         epath = "%s.crossings[%d]" % (path, ei)
         _expect_keys(e, {"over", "under"}, set(), epath)
         for key in ("over", "under"):
@@ -353,6 +352,9 @@ def parse_workspace(data):
     except json.JSONDecodeError as e:
         raise ParseError("document", "not valid JSON: %s" % (e,))
     diagram = parse_diagram(doc)
+    for key in ("fronts", "pages", "lagrangians"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ParseError(key, "expected an object")
     fronts = {}
     for name, fdoc in doc.get("fronts", {}).items():
         fronts[name] = parse_front(fdoc, "fronts[%r]" % (name,))
@@ -399,7 +401,7 @@ def parse_moves(data, path="moves"):
     _expect_keys(doc, {"format", "steps"}, set(), path)
     _expect_format(doc, MOVES_FORMAT, path)
     steps = []
-    for i, step in enumerate(doc["steps"]):
+    for i, step in enumerate(_list(doc["steps"], path + ".steps")):
         spath = "%s.steps[%d]" % (path, i)
         _expect_keys(step, {"move"}, {"site"}, spath)
         steps.append({"move": step["move"], "site": step.get("site", {})})

@@ -21,6 +21,7 @@ from .diagram import (
 )
 from .geometry import (
     DegenerateGeometry,
+    branch_side,
     det,
     cusp_direction,
     integer_crossings,
@@ -187,7 +188,9 @@ def validate_front(d, f):
                     continue
                 if v.side == w.side:
                     report.add(loc, "teleport must re-enter on the partner curve")
-                if v.t != w.t:
+                # across the end of the list the entry lies a t-closure on
+                w_t = w.t + comp.closure[1] if i == n - 1 else w.t
+                if v.t != w_t:
                     report.add(loc, "teleport exit and entry at different t")
             elif v.role == ENTER:
                 w = comp.vertex(i - 1)
@@ -221,8 +224,6 @@ def validate_front(d, f):
                 report.add(loc, "vertex %d follows a teleport exit directly" % i)
                 continue
             try:
-                from .geometry import branch_side
-
                 side_in = branch_side(v.point, prev_pt)
                 side_out = branch_side(v.point, next_pt)
             except DegenerateGeometry:
@@ -262,25 +263,18 @@ def validate_front(d, f):
         for v in comp.vertices:
             if v.kind == TELEPORT:
                 teleport_pts.add((comp.torus, v.x % 1, v.t % 1))
-    trace_segs = []
-    for pi, side, curve in d.curves():
-        for _, a, b in curve.segments():
-            trace_segs.append((curve.torus, a, b))
-    for ci, i, torus, a, b in f.all_segments():
-        for tt, q1, q2 in trace_segs:
-            if tt != torus:
-                continue
-            try:
-                segment_meet_torus(a, b, q1, q2)
-            except DegenerateGeometry:
-                ok = any(
-                    (torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)
+    for ci, i, torus, a, b, _, _, q1, q2 in _front_trace_pairs(d, f):
+        try:
+            segment_meet_torus(a, b, q1, q2)
+        except DegenerateGeometry:
+            ok = any(
+                (torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)
+            )
+            if not ok:
+                report.add(
+                    "component %d" % ci,
+                    "front touches a trace curve non-transversally at segment %d" % i,
                 )
-                if not ok:
-                    report.add(
-                        "component %d" % ci,
-                        "front touches a trace curve non-transversally at segment %d" % i,
-                    )
 
     # self-crossings: transverse, no triple points
     try:
@@ -365,78 +359,82 @@ def cusp_counts(f):
     return down, up
 
 
-def lk_binding(f):
-    """Signed crossings of the horizontal curve t = 0, +1 when t increases."""
-    total = 0
-    for ci, i, torus, a, b in f.all_segments():
-        for pt in (a, b):
-            if pt[1] % 1 == 0:
-                raise InvalidInput("front vertex on t=0; perturb input")
-        for _, direction in integer_crossings(a[1], b[1]):
-            total += direction
-    return total
-
-
-def trace_crossings(d, f):
-    """Transverse crossings of the front with the labeled trace curves.
-
-    Yields (pair_index, sign, t_mod) per crossing, the sign being +1
-    when the front crosses the oriented trace curve from its left to
-    its right.
-    """
-    trace_segs = []
-    for pi, side, curve in d.curves():
-        orient = curve_orientation(side)
-        for _, a, b in curve.segments():
-            trace_segs.append((curve.torus, pi, orient, a, b))
+def _page_crossings(f):
+    """Directions (+1 upward) in which the front crosses the page t=0."""
     out = []
-    for ci, i, torus, a, b in f.all_segments():
-        for tt, pi, orient, q1, q2 in trace_segs:
-            if tt != torus:
-                continue
-            # degenerate contacts are teleport junctions on valid fronts
-            hits = segment_meet_torus(a, b, q1, q2, skip_degenerate=True)
-            for s, u, point in hits:
-                front_dir = sub(b, a)
-                trace_dir = sub(q2, q1)
-                if orient < 0:
-                    trace_dir = (-trace_dir[0], -trace_dir[1])
-                sign = 1 if det(front_dir, trace_dir) > 0 else -1
-                out.append((pi, sign, point[1] % 1, (torus, point[0] % 1, point[1] % 1)))
-    return out
-
-
-def cylinder_class(d, f, labeled=None):
-    """Unreduced signed label sum over trace crossings (class in the cylinder)."""
-    report = validate_front(d, f)
-    report.raise_if_invalid("front")
-    _require_no_page_crossings(f)
-    if labeled is None:
-        labeled = propagate_labels(d)
-    k = d.k
-    coeffs = [0] * k
-    for pi, sign, t_mod, _ in trace_crossings(d, f):
-        lab = labeled.pair_label_at(pi, t_mod)
-        for j in range(k):
-            coeffs[j] += sign * lab.coeffs[j]
-    return tuple(coeffs)
-
-
-def front_class(d, f, group=None, labeled=None):
-    """The class of the front in H_1(M), via the label counting rule."""
-    if labeled is None:
-        labeled = propagate_labels(d)
-    if group is None:
-        group = h1_presentation(d, labeled)
-    vec = cylinder_class(d, f, labeled)
-    return group.reduce(vec)
-
-
-def _require_no_page_crossings(f):
     for ci, i, torus, a, b in f.all_segments():
         if a[1] % 1 == 0 or b[1] % 1 == 0:
             raise InvalidInput("front vertex on t=0; perturb input")
-        if integer_crossings(a[1], b[1]):
-            raise InvalidInput(
-                "front crosses the page t=0; not contained in the cylinder"
-            )
+        out.extend(direction for _, direction in integer_crossings(a[1], b[1]))
+    return out
+
+
+def lk_binding(f):
+    """Signed crossings of the horizontal curve t = 0, +1 when t increases."""
+    return sum(_page_crossings(f))
+
+
+def _front_trace_pairs(d, f):
+    """Each front segment with each trace segment on its torus."""
+    for ci, i, torus, a, b in f.all_segments():
+        for pi, side, curve in d.curves():
+            if curve.torus == torus:
+                for _, q1, q2 in curve.segments():
+                    yield ci, i, torus, a, b, pi, side, q1, q2
+
+
+def trace_crossings(d, f):
+    """Transverse crossings of a valid front with the labeled trace curves.
+
+    Returns (pair_index, sign, t_mod, side) per crossing, the sign being
+    +1 when the front crosses the oriented trace curve from its left to
+    its right.
+    """
+    out = []
+    for _, _, _, a, b, pi, side, q1, q2 in _front_trace_pairs(d, f):
+        # degenerate contacts are teleport junctions on valid fronts
+        for s, u, point in segment_meet_torus(a, b, q1, q2, skip_degenerate=True):
+            upward = 1 if det(sub(b, a), sub(q2, q1)) > 0 else -1
+            out.append((pi, curve_orientation(side) * upward, point[1] % 1, side))
+    return out
+
+
+def _cylinder(d, f, labeled):
+    """(class in the cylinder, trace crossings) of a valid front."""
+    if _page_crossings(f):
+        raise InvalidInput("front crosses the page t=0; not contained in the cylinder")
+    hits = trace_crossings(d, f)
+    coeffs = [0] * d.k
+    for pi, sign, t_mod, _ in hits:
+        lab = labeled.pair_label_at(pi, t_mod)
+        for j in range(d.k):
+            coeffs[j] += sign * lab.coeffs[j]
+    return tuple(coeffs), hits
+
+
+def cylinder_class(d, f):
+    """Unreduced signed label sum over trace crossings (class in the
+    cylinder).  Validates the front once at entry."""
+    validate_front(d, f).raise_if_invalid("front")
+    return _cylinder(d, f, propagate_labels(d))[0]
+
+
+def front_class(d, f, group=None):
+    """The class of the front in H_1(M), via the label counting rule.
+    Validates the front once at entry."""
+    labeled = propagate_labels(d)
+    if group is None:
+        group = h1_presentation(d, labeled)
+    validate_front(d, f).raise_if_invalid("front")
+    return group.reduce(_cylinder(d, f, labeled)[0])
+
+
+def null_trace_crossings(d, f):
+    """The trace crossings of a valid front that is null in the cylinder;
+    any other class in the cylinder raises InvalidInput naming it."""
+    cyl, hits = _cylinder(d, f, propagate_labels(d))
+    if any(cyl):
+        raise InvalidInput(
+            "class in the cylinder is %r; supply auxiliary link X" % (cyl,)
+        )
+    return hits

@@ -10,6 +10,7 @@ the caller, never resolved by epsilon.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -70,8 +71,6 @@ def segment_meet(p1, p2, q1, q2):
 
 def _shift_range(a_lo, a_hi, b_lo, b_hi):
     """Integers n with [b_lo + n, b_hi + n] meeting [a_lo, a_hi]."""
-    import math
-
     lo = a_lo - b_hi
     hi = a_hi - b_lo
     n0 = math.ceil(lo)
@@ -186,8 +185,6 @@ def integer_crossings(c1, c2):
     lo, hi = (c1, c2) if c1 < c2 else (c2, c1)
     if lo.denominator == 1 or hi.denominator == 1:
         raise DegenerateGeometry("endpoint on an integer line")
-    import math
-
     sign = 1 if c2 > c1 else -1
     ns = range(math.floor(lo) + 1, math.ceil(hi))
     return [(n, sign) for n in ns]

@@ -16,9 +16,9 @@ from .diagram import (
     propagate_labels,
     vertical_line_class_sum,
 )
-from .front import cusp_counts, cylinder_class, lk_binding, validate_front
+from .front import cusp_counts, lk_binding, null_trace_crossings, validate_front
 from .geometry import min_positive_gap
-from .resolution import intersect_L0, intersect_L1
+from .resolution import _intersect_L1, _multiplicities, _total_resolution
 from .validation import InvalidInput
 
 
@@ -64,22 +64,19 @@ def rot_front(d, f_lambda, f_x=None):
 
     Cusps and binding linking come from the knot's own front; the
     surface intersection terms use the union with the auxiliary link,
-    which must make the class in the cylinder vanish.
+    which must make the class in the cylinder vanish.  Validates the
+    front and the union once at entry; one pass over the union's trace
+    crossings gives its class in the cylinder and every L1 term.
     """
-    report = validate_front(d, f_lambda)
-    report.raise_if_invalid("front")
+    validate_front(d, f_lambda).raise_if_invalid("front")
     D, U = cusp_counts(f_lambda)
     lk = lk_binding(f_lambda)
     union = f_lambda if f_x is None else f_lambda.union(f_x)
     if f_x is not None:
         validate_front(d, union).raise_if_invalid("front union")
-    cyl = cylinder_class(d, union)
-    if any(cyl):
-        raise InvalidInput(
-            "class in the cylinder is %r; supply auxiliary link X" % (cyl,)
-        )
-    L0 = intersect_L0(d, union)
-    L1s = [intersect_L1(d, union, pair.id) for pair in d.trace_pairs]
+    hits = null_trace_crossings(d, union)
+    L0 = _total_resolution(d, union, _multiplicities(d, union)).horizontal_sum()
+    L1s = [_intersect_L1(d, hits, pair.id) for pair in d.trace_pairs]
     aux = 0 if f_x is None else len(f_x.components)
     return RotationReport(D, U, lk, L0, L1s, aux)
 

@@ -20,6 +20,7 @@ move's input pattern raises PatternNotFound.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .diagram import MINUS, PLUS
@@ -125,8 +126,6 @@ def _box_is_clear(d, f, torus, x_lo, x_hi, t_lo, t_hi, skip=()):
     def hits(a, b):
         alo, ahi = min(a[0], b[0]), max(a[0], b[0])
         tlo, thi = min(a[1], b[1]), max(a[1], b[1])
-        import math
-
         for nx in range(math.floor(x_lo - ahi), math.ceil(x_hi - alo) + 1):
             for nt in range(math.floor(t_lo - thi), math.ceil(t_hi - tlo) + 1):
                 pa = (a[0] + nx, a[1] + nt)
@@ -445,6 +444,7 @@ def _move_k2(d, f, site):
         raise PatternNotFound("k2 wants a rightward strictly descending segment")
     s_abs = Fraction(-dt, dx)
     w = q[0] - p[0]
+    eta = Fraction(site.get("overshoot", Fraction(1, 2 ** 14)))
 
     if variant == "left":
         height = Fraction(site.get("band", min(s_abs, Fraction(1, 32)) / 8))
@@ -453,15 +453,16 @@ def _move_k2(d, f, site):
         t_lo, t_hi = p[1] % 1, p[1] % 1 + height
     else:
         height = Fraction(site.get("band", (w * s_abs) * 2))
-        if not (w * s_abs < height < s_abs):
-            raise PatternNotFound("band height must sit between the chord drop and the slope")
+        # below the drop over chord and overshoot, the return leg is
+        # flatter than the host and the final cusp at q turns down
+        if not ((w + eta) * s_abs < height < s_abs):
+            raise PatternNotFound("band height must sit between the drop to q + eta and the slope")
         t_lo, t_hi = p[1] % 1 - height, p[1] % 1
     if not (0 < t_lo and t_hi < 1):
         raise PatternNotFound("band crosses the page t=0; choose another site")
     _require_clear_band(d, f, comp.torus, t_lo, t_hi, ci, si)
     stations = _vertical_stations(d, comp.torus, (t_lo, t_hi))
     sign = -1 if variant == "left" else 1
-    eta = Fraction(site.get("overshoot", Fraction(1, 2 ** 14)))
     for x_st, _, _ in stations:
         if (x_st - p[0]) % 1 <= (q[0] - p[0] + eta) % 1:
             raise PatternNotFound("a trace curve foot sits between detach and attach")
@@ -642,6 +643,8 @@ def _move_b1(d, f, site):
     else:
         if not (0 < p[1] % 1 < 1 - sigma):
             raise PatternNotFound("detach point too close to the page t=1")
+        if s_abs * width >= 1 + sigma:
+            raise PatternNotFound("host steeper than the climb: the detach cusp would turn down")
         # cusp detach, steep climb left, tip cusp, shallow dive right
         # back onto the strand one page-turn higher
         new_vertices = [
@@ -722,8 +725,6 @@ def _move_k3(d, f, site):
 
 def _line_crossing(a, b, x_line):
     """Where the segment crosses the vertical line x = x_line (mod 1)."""
-    import math
-
     lo, hi = min(a[0], b[0]), max(a[0], b[0])
     hits = []
     for n in range(math.floor(lo - x_line), math.ceil(hi - x_line) + 1):

@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .diagram import MINUS, PLUS
-from .front import ENTER, EXIT, TELEPORT, validate_front
-from .front import cylinder_class as _cylinder_class
+from .diagram import MINUS, PLUS, curve_orientation
+from .front import ENTER, EXIT, TELEPORT, null_trace_crossings, validate_front
 from .geometry import (
     DegenerateGeometry,
     det,
     eval_piecewise,
+    integer_crossings,
     min_positive_gap,
     segment_meet_torus,
     slope,
@@ -68,10 +68,14 @@ def teleport_signs(d, f):
     +1 where the front arrives on the trace curve (running into the
     skeleton), -1 where it leaves; the two endpoints of one event get
     opposite signs, so the induced multiplicity changes on the two
-    curves of the pair are equal and opposite.
+    curves of the pair are equal and opposite.  Validates the front once
+    at entry.
     """
-    report = validate_front(d, f)
-    report.raise_if_invalid("front")
+    validate_front(d, f).raise_if_invalid("front")
+    return _teleport_signs(f)
+
+
+def _teleport_signs(f):
     out = []
     for ci, comp in enumerate(f.components):
         for vi, v in enumerate(comp.vertices):
@@ -127,14 +131,15 @@ def multiplicities(d, f):
     Requires the front to be null-homologous in the cylinder; errors
     with a request for an auxiliary link otherwise.  The top interval
     of every curve must come out 0 again or the input is rejected as
-    inconsistent.
+    inconsistent.  Validates the front once at entry.
     """
-    cyl = _cylinder_class(d, f)
-    if any(cyl):
-        raise InvalidInput(
-            "front is not null-homologous in the cylinder; add auxiliary link X"
-        )
-    endpoints = teleport_signs(d, f)
+    validate_front(d, f).raise_if_invalid("front")
+    null_trace_crossings(d, f)
+    return _multiplicities(d, f)
+
+
+def _multiplicities(d, f):
+    endpoints = _teleport_signs(f)
 
     events = []  # (t, order, kind, curve_key, payload)
     for ep in endpoints:
@@ -319,8 +324,12 @@ def _safe_shrink(d, f, m_max):
 
 
 def total_resolution(d, f):
-    """Construct the total resolution of a cylinder-null front."""
-    assignment = multiplicities(d, f)
+    """Construct the total resolution of a cylinder-null front.
+    Validates the front once at entry."""
+    return _total_resolution(d, f, multiplicities(d, f))
+
+
+def _total_resolution(d, f, assignment):
     eps, delta = _safe_shrink(d, f, assignment.max_abs())
     last_err = None
     for _ in range(MAX_SHRINK_RETRIES):
@@ -743,8 +752,6 @@ def intersect_L0_local(d, f):
                     "shortcut inapplicable"
                 )
     total = 0
-    from .geometry import integer_crossings
-
     for ci, i, torus, a, b in f.all_segments():
         for _, direction in integer_crossings(a[0], b[0]):
             total += direction
@@ -765,26 +772,20 @@ def intersect_L1(d, f, pair_id):
     Counted as signed transverse crossings of the front with either
     trace curve of the pair, both oriented upward; the two choices must
     agree (they do exactly when the front is null in the cylinder).
+    Validates the front once at entry.
     """
-    cyl = _cylinder_class(d, f)
-    if any(cyl):
-        raise InvalidInput(
-            "front is not null-homologous in the cylinder; add auxiliary link X"
-        )
+    validate_front(d, f).raise_if_invalid("front")
+    return _intersect_L1(d, null_trace_crossings(d, f), pair_id)
+
+
+def _intersect_L1(d, hits, pair_id):
+    """intersect_L1 summed over the front's trace crossings ``hits``."""
+    pi = d.pair_index(pair_id)
     totals = {PLUS: 0, MINUS: 0}
-    pair = d.trace_pairs[d.pair_index(pair_id)]
-    for side in (PLUS, MINUS):
-        curve = pair.curve(side)
-        for ci, i, torus, a, b in f.all_segments():
-            if torus != curve.torus:
-                continue
-            for _, q1, q2 in curve.segments():
-                # degenerate contacts are teleport junctions on valid fronts
-                hits = segment_meet_torus(a, b, q1, q2, skip_degenerate=True)
-                for s, u, point in hits:
-                    front_dir = sub(b, a)
-                    trace_dir = sub(q2, q1)
-                    totals[side] += 1 if det(front_dir, trace_dir) > 0 else -1
+    for hit_pi, sign, _, side in hits:
+        if hit_pi == pi:
+            # the crossing signs follow the minus curve downward
+            totals[side] += sign * curve_orientation(side)
     if totals[PLUS] != totals[MINUS]:
         raise AssertionError(
             "two trace-curve counts disagree for pair %s: %r" % (pair_id, totals)
@@ -794,9 +795,9 @@ def intersect_L1(d, f, pair_id):
 
 def intersect_curve_surface(d, f_owner, f_other):
     """Signed crossings where the other front passes over the owner's
-    total resolution; skeleton segments always count as under-strands."""
-    report = validate_front(d, f_other)
-    report.raise_if_invalid("front")
+    total resolution; skeleton segments always count as under-strands.
+    Validates each front once at entry."""
+    validate_front(d, f_other).raise_if_invalid("front")
     res = total_resolution(d, f_owner)
     total = 0
     for ci, i, torus, a, b in f_other.all_segments():

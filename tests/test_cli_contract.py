@@ -1,0 +1,104 @@
+"""The CLI contract on mutated workspaces.
+
+Every run of ``main`` ends in exit code 0, 1 or 2 with at most a
+one-line message: no exception escapes, whatever the input file holds.
+The workspaces are the bundled fixtures with one or two seeded edits:
+a rational nudged, a field or list item deleted or duplicated, or a
+value replaced by one of another type.  Replacement values stay small;
+a huge ``binding_count`` makes ``homology`` build a quadratic number of
+relations, which is a size problem rather than a contract one.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+from fractions import Fraction
+
+from morsebook.cli import main
+
+SEED = 1
+WORKSPACES = 100
+COMMANDS = ("check", "homology", "euler", "rot", "resolve")
+REPLACEMENTS = (
+    0, 1, -1, 2, 7, True, None, [], {}, "0", "1/2", "-1/3", "1/0", "x",
+    "plus", "minus", "cusp", "teleport", "exit", "enter", ["teleport", 1, "plus", "exit"],
+)
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON document."""
+    items = sorted(node.items()) if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _rational(value):
+    """The value of a "p/q" string, else None."""
+    if isinstance(value, str) and "/" in value:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
+
+
+def _mutate(rng, doc):
+    """One seeded edit of a copy of ``doc``; half of them nudge a rational."""
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))
+    rationals = [p for p in paths if _rational(_at(doc, p)) is not None]
+    if rationals and rng.random() < 0.5:
+        path = rng.choice(rationals)
+        step = Fraction(rng.choice((-1, 1)), rng.choice((2, 8, 64, 1024)))
+        _at(doc, path[:-1])[path[-1]] = str(_rational(_at(doc, path)) + step)
+        return doc
+    path = rng.choice(paths)
+    parent, key = _at(doc, path[:-1]), path[-1]
+    op = rng.randrange(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_mutated_workspaces_keep_the_exit_code_contract(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
+    rng = random.Random(SEED)
+    target = tmp_path / "mutated.json"
+    codes = {}
+    for i in range(WORKSPACES):
+        name = rng.choice(sorted(docs))
+        doc = docs[name]
+        for _ in range(rng.randint(1, 2)):
+            doc = _mutate(rng, doc)
+        target.write_text(json.dumps(doc))
+        fronts = doc.get("fronts") if isinstance(doc, dict) else None
+        front = min(fronts) if isinstance(fronts, dict) and fronts else "lambda"
+        for command in COMMANDS:
+            argv = [command, str(target)]
+            if command in ("rot", "resolve"):
+                argv += ["--front", front]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (i, name, argv, code)
+            assert len(err.getvalue().splitlines()) <= 1, (i, name, argv, err.getvalue())
+            codes[code] = codes.get(code, 0) + 1
+    # every exit code shows up, so the edits reach past the parser
+    assert set(codes) == {0, 1, 2}, codes

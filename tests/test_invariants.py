@@ -78,6 +78,33 @@ def test_rot_requires_cylinder_class_zero():
         rot_front(d, fig5_lambda_prime())
 
 
+def test_rot_front_checks_the_front_and_finds_its_trace_crossings_once(monkeypatch):
+    import sys
+
+    from morsebook import diagram, front
+    from morsebook.fixtures import fig5_diagram, fig5_lambda
+
+    calls = {}
+    for module, name in (
+        (front, "validate_front"),
+        (front, "trace_crossings"),
+        (diagram, "propagate_labels"),
+    ):
+        orig = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        # patch every morsebook module that imported the name, too
+        for mod_name, holder in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "morsebook" and vars(holder).get(name) is orig:
+                monkeypatch.setattr(holder, name, counted)
+    rot_front(fig5_diagram(), fig5_lambda())
+    assert calls == {"validate_front": 1, "trace_crossings": 1, "propagate_labels": 1}
+
+
 def test_rot_with_auxiliary_link():
     # lambda-prime fails alone; a page-shifted reversed copy cancels its
     # class in the cylinder and serves as the auxiliary link X

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,34 @@ def test_front_teleport_to_missing_pair_is_an_error():
     base["fronts"] = {"bad": bad_front}
     with pytest.raises(ParseError, match="nonexistent pair"):
         parse_workspace(json.dumps(base))
+
+
+def test_wrongly_typed_containers_are_parse_errors():
+    page, lagr = fx.disk_s3_lagr()
+    base = json.loads(
+        serialize_workspace(
+            Workspace(
+                fx.fig5_diagram(), {"lambda": fx.fig5_lambda()}, {"disk": page}, {"c": lagr}, b""
+            )
+        )
+    )
+    edits = {
+        "trace_pairs": lambda doc: doc.update(trace_pairs=1),
+        "teleports": lambda doc: doc["trace_pairs"][0].update(teleports=None),
+        "target_pair": lambda doc: doc["trace_pairs"][0]["teleports"][0].update(target_pair="1/2"),
+        "fronts": lambda doc: doc.update(fronts="lambda"),
+        "components": lambda doc: doc["fronts"]["lambda"].update(components=7),
+        "vertices": lambda doc: doc["fronts"]["lambda"]["components"][0].update(vertices=None),
+        "pages": lambda doc: doc.update(pages=[]),
+        "corners": lambda doc: doc["pages"]["disk"].update(bands=[{"corners": [1, 2, 3, 4]}]),
+        "lagrangians": lambda doc: doc.update(lagrangians=0),
+        "components[0]": lambda doc: doc["lagrangians"]["c"].update(components=[3]),
+    }
+    for where, edit in edits.items():
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_workspace(json.dumps(doc))
 
 
 def test_bad_version_is_an_error():

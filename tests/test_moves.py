@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from morsebook.fixtures import disk_s3, disk_s3_unknot, fig1_torus
+from morsebook.fixtures import disk_s3, disk_s3_unknot, fig1_torus, fig5_diagram, fig5_lambda
 from morsebook.front import CUSP, PLAIN, FrontComponent, FrontProjection, Vertex, cusp_counts, lk_binding
 from morsebook.invariants import rot_front
 from morsebook.moves import PatternNotFound, apply_move
@@ -66,17 +66,53 @@ def test_k2_changes_horizontal_count_against_cusp_pair():
 
 
 def test_b1_changes_lk_against_cusp_pair():
+    # on lambda the teleport jump closes the vertex list, so the fold
+    # leaves its exit a page below or above its entry, one t-closure on
+    for d, f, segment in ((disk_s3(), disk_s3_unknot(), 0), (fig5_diagram(), fig5_lambda(), 1)):
+        D0, U0 = cusp_counts(f)
+        lk0 = lk_binding(f)
+        for variant, want_lk, want_cusps in (("down", -1, 2), ("up", 1, -2)):
+            out = apply_move(
+                d, f, "b1", {"component": 0, "segment": segment, "u": F(1, 2), "variant": variant}
+            )
+            D1, U1 = cusp_counts(out)
+            assert lk_binding(out) - lk0 == want_lk
+            assert (D1 - U1) - (D0 - U0) == want_cusps
+
+
+def test_b1_up_refuses_a_host_steeper_than_its_climb():
+    # the climb rises about 64 per unit of x; this host falls 400, so
+    # the detach cusp would turn down and the fold would change rot
+    steep = FrontProjection(
+        [
+            FrontComponent(
+                0,
+                [
+                    Vertex(F(1, 10), F(9, 10), CUSP),
+                    Vertex(F(101, 1000), F(1, 2), PLAIN),
+                    Vertex(F(1, 5), F(1, 10), CUSP),
+                    Vertex(F(3, 20), F(17, 20), PLAIN),
+                ],
+            )
+        ]
+    )
+    site = {"component": 0, "segment": 0, "u": F(1, 2)}
+    with pytest.raises(PatternNotFound, match="steeper"):
+        apply_move(disk_s3(), steep, "b1", dict(site, variant="up"))
+    out = apply_move(disk_s3(), steep, "b1", dict(site, variant="down"))
+    assert cusp_counts(out) == (3, 1)
+
+
+def test_k2_right_refuses_a_chord_within_the_overshoot():
     d = disk_s3()
     f = disk_s3_unknot()
-    D0, U0 = cusp_counts(f)
-    lk0 = lk_binding(f)
-    for variant, want_lk, want_cusps in (("down", -1, 2), ("up", 1, -2)):
-        out = apply_move(
-            d, f, "b1", {"component": 0, "segment": 0, "u": F(1, 2), "variant": variant}
-        )
-        D1, U1 = cusp_counts(out)
-        assert lk_binding(out) - lk0 == want_lk
-        assert (D1 - U1) - (D0 - U0) == want_cusps
+    site = {"component": 0, "segment": 0, "variant": "right"}
+    # the chord to q is 1/20000, under the default overshoot 2^-14: the
+    # final cusp would turn down and rot would move to 1
+    with pytest.raises(PatternNotFound, match="drop"):
+        apply_move(d, f, "k2", dict(site, u=F(999, 1000)))
+    rep = rot_front(d, apply_move(d, f, "k2", dict(site, u=F(99, 100))))
+    assert (rep.rot, rep.D, rep.U) == (0, 1, 3)
 
 
 def test_composite_pass_sequence_preserves_rotation():

@@ -404,7 +404,10 @@ def parse_moves(data, path="moves"):
     for i, step in enumerate(_list(doc["steps"], path + ".steps")):
         spath = "%s.steps[%d]" % (path, i)
         _expect_keys(step, {"move"}, {"site"}, spath)
-        steps.append({"move": step["move"], "site": step.get("site", {})})
+        site = step.get("site", {})
+        if not isinstance(site, dict):
+            raise ParseError(spath + ".site", "expected an object")
+        steps.append({"move": step["move"], "site": site})
     return steps
 
 

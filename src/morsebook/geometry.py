@@ -69,6 +69,28 @@ def segment_meet(p1, p2, q1, q2):
     return (s, u, point)
 
 
+def box_overlaps(boxes):
+    """Index pairs (i, j), i < j, of closed boxes that meet, in ascending order.
+
+    ``boxes`` holds (x_lo, x_hi, y_lo, y_hi) tuples.  A sweep over the
+    boxes sorted by x_lo keeps those whose x-extent still reaches the
+    sweep line and compares only their y-extents: the candidate-pair
+    step of a Bentley & Ottmann sweep (IEEE Trans. Comput. 1979).
+    Boxes that share only an edge or a corner count as meeting.
+    """
+    out = []
+    active = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x_lo, _, y_lo, y_hi = boxes[i]
+        active = [j for j in active if boxes[j][1] >= x_lo]
+        for j in active:
+            if boxes[j][2] <= y_hi and y_lo <= boxes[j][3]:
+                out.append((j, i) if j < i else (i, j))
+        active.append(i)
+    out.sort()
+    return out
+
+
 def _shift_range(a_lo, a_hi, b_lo, b_hi):
     """Integers n with [b_lo + n, b_hi + n] meeting [a_lo, a_hi]."""
     lo = a_lo - b_hi

@@ -12,13 +12,22 @@ source and -1 at each band saddle.
 All computations are exact: turning and winding numbers come from
 signed ray crossings, and the direct field-relative rotation uses
 Sturm chains on rational polynomials.
+
+The crossing list works in an integer frame: every vertex is scaled
+by the least common multiple of all vertex denominators, which keeps
+every orientation and parameter test of the Fraction coordinates and
+makes each one an integer determinant.  A sweep over the segments'
+boxes picks the pairs worth testing, and crossing points go back to
+the input coordinates as Fractions.  Validation finds the list once
+and ``tb_writhe`` reads the writhe off the same list.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .geometry import det, sub
+from .geometry import box_overlaps, det, sub
 from .validation import InvalidInput, ValidationReport
 
 
@@ -55,6 +64,10 @@ class Band:
         return (a, b)
 
     def contains(self, p):
+        xs = [c[0] for c in self.corners]
+        ys = [c[1] for c in self.corners]
+        if not (min(xs) <= p[0] <= max(xs) and min(ys) <= p[1] <= max(ys)):
+            return False
         return _in_convex(self.corners, p)
 
 
@@ -127,33 +140,62 @@ class LagrangianDiagram:
 
 
 def diagram_crossings(c):
-    """All transverse self-intersections with their segment pairs."""
+    """All transverse self-intersections with their segment pairs.
+
+    Returns ((ci1, s1), (ci2, s2), point) triples in ascending order of
+    the two segments' places in ``c.segments()``, the point in the
+    input coordinates.  Raises InvalidInput at the first such pair that
+    overlaps collinearly or touches at an endpoint.  The tests run on
+    the integer frame of the module docstring, on the pairs whose
+    boxes meet; edges of zero length are rejected by validation first.
+    """
     segs = list(c.segments())
+    scale = math.lcm(*(q.denominator for comp in c.components for v in comp for q in v))
+    ints = [(_scaled(a, scale), _scaled(b, scale)) for _, _, a, b in segs]
+    boxes = [
+        (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+        for a, b in ints
+    ]
     out = []
-    for i in range(len(segs)):
-        ci1, s1, a1, b1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            ci2, s2, a2, b2 = segs[j]
-            if ci1 == ci2:
-                n = len(c.components[ci1])
-                if (s1 - s2) % n in (0, 1) or (s2 - s1) % n in (0, 1):
-                    continue
-            d1 = sub(b1, a1)
-            d2 = sub(b2, a2)
-            denom = det(d1, d2)
-            w = sub(a2, a1)
-            if denom == 0:
-                if det(w, d1) == 0 and _collinear_overlap(a1, b1, a2, b2):
-                    raise InvalidInput("collinear overlapping segments")
+    for i, j in box_overlaps(boxes):
+        ci1, s1 = segs[i][:2]
+        ci2, s2 = segs[j][:2]
+        if ci1 == ci2:
+            n = len(c.components[ci1])
+            if (s1 - s2) % n in (0, 1) or (s2 - s1) % n in (0, 1):
                 continue
-            s = Fraction(det(w, d2), denom)
-            u = Fraction(det(w, d1), denom)
-            if 0 < s < 1 and 0 < u < 1:
-                pt = (a1[0] + s * d1[0], a1[1] + s * d1[1])
-                out.append(((ci1, s1), (ci2, s2), pt))
-            elif (s in (0, 1) and 0 <= u <= 1) or (u in (0, 1) and 0 <= s <= 1):
-                raise InvalidInput("segments touch at an endpoint; perturb input")
+        a1, b1 = ints[i]
+        a2, b2 = ints[j]
+        d1 = sub(b1, a1)
+        d2 = sub(b2, a2)
+        denom = det(d1, d2)
+        w = sub(a2, a1)
+        if denom == 0:
+            if det(w, d1) == 0 and _collinear_overlap(a1, b1, a2, b2):
+                raise InvalidInput("collinear overlapping segments")
+            continue
+        # s = s_num / denom and u = u_num / denom, with denom made positive
+        s_num, u_num = det(w, d2), det(w, d1)
+        if denom < 0:
+            denom, s_num, u_num = -denom, -s_num, -u_num
+        if 0 < s_num < denom and 0 < u_num < denom:
+            scaled = scale * denom
+            pt = (
+                Fraction(a1[0] * denom + s_num * d1[0], scaled),
+                Fraction(a1[1] * denom + s_num * d1[1], scaled),
+            )
+            out.append(((ci1, s1), (ci2, s2), pt))
+        elif (s_num in (0, denom) and 0 <= u_num <= denom) or (
+            u_num in (0, denom) and 0 <= s_num <= denom
+        ):
+            raise InvalidInput("segments touch at an endpoint; perturb input")
     return out
+
+
+def _scaled(p, scale):
+    """The point ``p`` times ``scale``, a common multiple of its denominators."""
+    x, y = p
+    return (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
 
 
 def _collinear_overlap(a1, b1, a2, b2):
@@ -188,23 +230,30 @@ def band_pass_counts(p, c):
 
 def validate_lagrangian(p, c):
     """Check the diagram against the page and its own transversality."""
+    return _validate(p, c)[0]
+
+
+def _validate(p, c):
+    """The validation report and the crossing list that it checked.
+
+    The list is None when the report fails before the crossings.
+    """
     report = ValidationReport()
     for ci, comp in enumerate(c.components):
         loc = "component %d" % ci
         if len(comp) < 3:
             report.add(loc, "component needs at least three vertices")
             continue
-        for i, v in enumerate(comp):
-            if not p.containing_pieces(v):
+        pieces = [set(p.containing_pieces(v)) for v in comp]
+        for i, held in enumerate(pieces):
+            if not held:
                 report.add(loc, "vertex %d outside the page" % i)
         n = len(comp)
         for i in range(n):
-            a, b = comp[i], comp[(i + 1) % n]
-            if a == b:
+            if comp[i] == comp[(i + 1) % n]:
                 report.add(loc, "zero-length edge at vertex %d" % i)
                 continue
-            common = set(p.containing_pieces(a)) & set(p.containing_pieces(b))
-            if not common:
+            if not pieces[i] & pieces[(i + 1) % n]:
                 report.add(loc, "segment %d leaves the page pieces" % i)
         # reversals make the turning number ill-defined
         for i in range(n):
@@ -213,7 +262,7 @@ def validate_lagrangian(p, c):
             if det(u, v) == 0 and (u[0] * v[0] + u[1] * v[1]) < 0:
                 report.add(loc, "tangent reversal at vertex %d" % ((i + 1) % n))
     if not report.ok:
-        return report
+        return report, None
 
     marked = p.marked_points + [
         corner for band in p.bands for corner in band.corners
@@ -227,7 +276,7 @@ def validate_lagrangian(p, c):
         found = diagram_crossings(c)
     except InvalidInput as e:
         report.add("crossings", str(e))
-        return report
+        return report, None
     pts = {}
     for _, _, pt in found:
         pts[pt] = pts.get(pt, 0) + 1
@@ -240,15 +289,15 @@ def validate_lagrangian(p, c):
     want = {frozenset([k1, k2]) for k1, k2, _ in found}
     if keys != want:
         report.add("crossings", "over/under table does not match the crossings")
-    return report
+    return report, found
 
 
 def _on_segment(a, b, m):
-    if det(sub(b, a), sub(m, a)) != 0:
+    if not (min(a[0], b[0]) <= m[0] <= max(a[0], b[0])):
         return False
-    lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
-    lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
-    return lo_x <= m[0] <= hi_x and lo_y <= m[1] <= hi_y
+    if not (min(a[1], b[1]) <= m[1] <= max(a[1], b[1])):
+        return False
+    return det(sub(b, a), sub(m, a)) == 0
 
 
 def require_null_homologous(p, c):
@@ -262,7 +311,10 @@ def require_null_homologous(p, c):
 def tb_writhe(p, c, validate=True):
     """Thurston-Bennequin number: the writhe of the projection."""
     if validate:
-        validate_lagrangian(p, c).raise_if_invalid("lagrangian diagram")
+        report, found = _validate(p, c)
+        report.raise_if_invalid("lagrangian diagram")
+    else:
+        found = diagram_crossings(c)
     require_null_homologous(p, c)
     table = {
         frozenset([tuple(e["over"]), tuple(e["under"])]): (
@@ -272,7 +324,7 @@ def tb_writhe(p, c, validate=True):
         for e in c.over_under
     }
     total = 0
-    for k1, k2, _ in diagram_crossings(c):
+    for k1, k2, _ in found:
         over, under = table[frozenset([k1, k2])]
         d_over = _seg_dir(c, over)
         d_under = _seg_dir(c, under)
@@ -458,17 +510,15 @@ def _poly_rem(a, b):
 
 def _primitive(p):
     """Scale to primitive integer coefficients; signs are unchanged."""
-    from math import gcd
-
     if p.is_zero():
         return p
     denom = 1
     for c in p.c:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+        denom = denom * c.denominator // math.gcd(denom, c.denominator)
     ints = [int(c * denom) for c in p.c]
     g = 0
     for x in ints:
-        g = gcd(g, abs(x))
+        g = math.gcd(g, abs(x))
     if g > 1:
         ints = [x // g for x in ints]
     return Poly(ints)

@@ -106,9 +106,53 @@ def _insert_vertices(comp, si, new_vertices, shift=(0, 0)):
     return FrontComponent(comp.torus, out, closure)
 
 
+def _site_key(site, key):
+    if key not in site:
+        raise PatternNotFound("site has no %r" % (key,))
+    return site[key]
+
+
+def _site_index(site, key, items):
+    """The index ``site[key]`` into ``items``, checked to be in range."""
+    value = _site_key(site, key)
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PatternNotFound("site %s %r is not an integer" % (key, value)) from None
+    if not 0 <= i < len(items):
+        raise PatternNotFound("site %s %d is out of range" % (key, i))
+    return i
+
+
+def _site_component(f, site):
+    ci = _site_index(site, "component", f.components)
+    return ci, f.components[ci]
+
+
+def _site_fraction(site, key, default):
+    """``site[key]`` as a Fraction, or ``default`` when the key is absent."""
+    value = site.get(key, default)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise PatternNotFound("site %s %r is not a rational" % (key, value)) from None
+
+
+def _site_pair(d, site):
+    """The trace pair and the side that a site names."""
+    pid = _site_key(site, "pair")
+    side = _site_key(site, "side")
+    if side not in (PLUS, MINUS):
+        raise PatternNotFound("site side must be %r or %r" % (PLUS, MINUS))
+    try:
+        return d.trace_pairs[d.pair_index(pid)], side
+    except KeyError:
+        raise PatternNotFound("no trace pair with id %r" % (pid,)) from None
+
+
 def _site_point(comp, site, key="u"):
-    si = int(site["segment"])
-    u = Fraction(site.get(key, Fraction(1, 2)))
+    si = _site_index(site, "segment", comp.vertices)
+    u = _site_fraction(site, key, Fraction(1, 2))
     if not (0 < u < 1):
         raise PatternNotFound("parameter %s must lie strictly inside the segment" % key)
     a, b = _segment_endpoints(comp, si)
@@ -202,8 +246,7 @@ _R1_T = (Fraction(-21, 10), Fraction(21, 10))
 
 
 def _move_r1(d, f, site):
-    ci = int(site["component"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
     si, u, a, b, p = _site_point(comp, site)
     dx, dt = b[0] - a[0], b[1] - a[1]
     if dx <= 0 or dt >= 0:
@@ -211,7 +254,7 @@ def _move_r1(d, f, site):
     s_abs = Fraction(-dt, dx)
 
     scales = (
-        [Fraction(site["scale"])]
+        [_site_fraction(site, "scale", None)]
         if "scale" in site
         else [min(p[0] - a[0], b[0] - p[0]) / (4 * 2 ** k) for k in range(12)]
     )
@@ -248,9 +291,8 @@ def _move_r1(d, f, site):
 
 def _move_r1_inv(d, f, site):
     """Remove a kink: a plain-cusp-cusp-plain splice collapses to a segment."""
-    ci = int(site["component"])
-    comp = f.components[ci]
-    i = int(site["vertex"])
+    ci, comp = _site_component(f, site)
+    i = _site_index(site, "vertex", comp.vertices)
     n = len(comp.vertices)
     if n < 6:
         raise PatternNotFound("component too small to carry a kink")
@@ -282,10 +324,9 @@ _STAB_TPL = {
 
 def _move_stabilize(d, f, site):
     """Insert a same-direction cusp pair: variant 'down' (default) or 'up'."""
-    ci = int(site["component"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
     variant = site.get("variant", "down")
-    if variant not in _STAB_TPL:
+    if variant not in ("down", "up"):
         raise PatternNotFound("stabilize variant must be 'down' or 'up'")
     si, u, a, b, p = _site_point(comp, site)
     dx, dt = b[0] - a[0], b[1] - a[1]
@@ -298,7 +339,7 @@ def _move_stabilize(d, f, site):
     margin = Fraction(1, 10)
 
     scales = (
-        [Fraction(site["scale"])]
+        [_site_fraction(site, "scale", None)]
         if "scale" in site
         else [min(p[0] - a[0], b[0] - p[0]) / (16 * 2 ** k) for k in range(12)]
     )
@@ -333,14 +374,12 @@ def _move_stabilize(d, f, site):
 def _move_cusp_trace(d, f, site):
     """Pass a cusp tip across a trace curve (the curve must be vertical
     over the cusp's t-extent and the swept strip otherwise clear)."""
-    ci = int(site["component"])
-    vi = int(site["vertex"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
+    vi = _site_index(site, "vertex", comp.vertices)
     v = comp.vertices[vi]
     if v.kind != CUSP:
         raise PatternNotFound("site vertex is not a cusp")
-    pair = d.trace_pairs[d.pair_index(site["pair"])]
-    side = site["side"]
+    pair, side = _site_pair(d, site)
     curve = pair.curve(side)
     if curve.torus != comp.torus:
         raise PatternNotFound("target trace curve lives on another torus")
@@ -355,7 +394,7 @@ def _move_cusp_trace(d, f, site):
     dist, direction = gap
     if direction == tip_side:
         raise PatternNotFound("cusp points away from the trace curve")
-    depth = Fraction(site["depth"]) if "depth" in site else dist / 2
+    depth = _site_fraction(site, "depth", dist / 2)
     new_x = v.x - tip_side * (dist + depth)
     before = _cusp_dir_at(comp, vi)
     verts = list(comp.vertices)
@@ -396,15 +435,14 @@ def _gap_to_line(x, x_line):
 
 def _move_s1(d, f, site):
     """Nudge a cusp tip along its pointing direction within its face."""
-    ci = int(site["component"])
-    vi = int(site["vertex"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
+    vi = _site_index(site, "vertex", comp.vertices)
     v = comp.vertices[vi]
     if v.kind != CUSP:
         raise PatternNotFound("site vertex is not a cusp")
     prev_pt, _ = comp.neighbor_points(vi)
     tip_side = branch_side(v.point, prev_pt)
-    depth = Fraction(site.get("depth", Fraction(1, 1024)))
+    depth = _site_fraction(site, "depth", Fraction(1, 1024))
     new_x = v.x - tip_side * depth
     before = _cusp_dir_at(comp, vi)
     verts = list(comp.vertices)
@@ -429,13 +467,12 @@ def _move_k2(d, f, site):
     trace curve at most once (which also makes it land back at the
     detach position exactly).
     """
-    ci = int(site["component"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
     variant = site.get("variant", "left")
     if variant not in ("left", "right"):
         raise PatternNotFound("k2 variant must be 'left' or 'right'")
     si, u, a, b, p = _site_point(comp, site)
-    u2 = Fraction(site.get("u2", u + (1 - u) / 4))
+    u2 = _site_fraction(site, "u2", u + (1 - u) / 4)
     if not (u < u2 < 1):
         raise PatternNotFound("u2 must lie strictly between u and 1")
     q = (a[0] + u2 * (b[0] - a[0]), a[1] + u2 * (b[1] - a[1]))
@@ -444,15 +481,15 @@ def _move_k2(d, f, site):
         raise PatternNotFound("k2 wants a rightward strictly descending segment")
     s_abs = Fraction(-dt, dx)
     w = q[0] - p[0]
-    eta = Fraction(site.get("overshoot", Fraction(1, 2 ** 14)))
+    eta = _site_fraction(site, "overshoot", Fraction(1, 2 ** 14))
 
     if variant == "left":
-        height = Fraction(site.get("band", min(s_abs, Fraction(1, 32)) / 8))
+        height = _site_fraction(site, "band", min(s_abs, Fraction(1, 32)) / 8)
         if not height < s_abs:
             raise PatternNotFound("band must be flatter than the host segment")
         t_lo, t_hi = p[1] % 1, p[1] % 1 + height
     else:
-        height = Fraction(site.get("band", (w * s_abs) * 2))
+        height = _site_fraction(site, "band", (w * s_abs) * 2)
         # below the drop over chord and overshoot, the return leg is
         # flatter than the host and the final cusp at q turns down
         if not ((w + eta) * s_abs < height < s_abs):
@@ -583,7 +620,6 @@ def _partner_walk(start_lift, stations, sign, extra=Fraction(0)):
         if px is None:
             raise PatternNotFound("partner curve lives on another torus")
         jump = ((cur_lift % 1) - px) % 1 if sign < 0 else (px - (cur_lift % 1)) % 1
-        enter_lift = cur_lift - sign * 0 + (sign * jump if False else (-jump if sign < 0 else jump))
         enter_lift = cur_lift + (jump if sign > 0 else -jump)
         legs.append((gap_next, (cur_lift, pid, side, enter_lift, partner)))
         cur_lift = enter_lift
@@ -603,8 +639,7 @@ def _move_b1(d, f, site):
     dive crosses trace curves transversally; each pair is crossed with
     cancelling labels, so the front's class is unchanged.
     """
-    ci = int(site["component"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
     variant = site.get("variant", "down")
     if variant not in ("down", "up"):
         raise PatternNotFound("b1 variant must be 'down' or 'up'")
@@ -613,12 +648,12 @@ def _move_b1(d, f, site):
     if dx <= 0 or dt >= 0:
         raise PatternNotFound("b1 wants a rightward strictly descending segment")
     s_abs = Fraction(-dt, dx)
-    width = Fraction(site.get("width", Fraction(1, 64)))
+    width = _site_fraction(site, "width", Fraction(1, 64))
     # keep the shallow leg flatter than the host so the re-entry cusp
     # direction matches the dive's
-    sigma = Fraction(site.get("sigma", min(Fraction(1, 512), s_abs * width / 4)))
+    sigma = _site_fraction(site, "sigma", min(Fraction(1, 512), s_abs * width / 4))
     u2_default = u + min((1 - u) / 16, sigma / (8 * -dt), width / (8 * dx))
-    u2 = Fraction(site.get("u2", u2_default))
+    u2 = _site_fraction(site, "u2", u2_default)
     if not (u < u2 < 1):
         raise PatternNotFound("u2 must lie strictly between u and 1")
     q = (a[0] + u2 * (b[0] - a[0]), a[1] + u2 * (b[1] - a[1]))
@@ -668,14 +703,12 @@ def _move_k3(d, f, site):
     the partner, reproduces the cusp there with the same direction, and
     teleports back.
     """
-    ci = int(site["component"])
-    vi = int(site["vertex"])
-    comp = f.components[ci]
+    ci, comp = _site_component(f, site)
+    vi = _site_index(site, "vertex", comp.vertices)
     v = comp.vertices[vi]
     if v.kind != CUSP:
         raise PatternNotFound("site vertex is not a cusp")
-    pair = d.trace_pairs[d.pair_index(site["pair"])]
-    side = site["side"]
+    pair, side = _site_pair(d, site)
     partner_side = MINUS if side == PLUS else PLUS
     curve = pair.curve(side)
     partner = pair.curve(partner_side)
@@ -699,7 +732,6 @@ def _move_k3(d, f, site):
     tip_side = branch_side(v.point, prev_pt)  # branches side; tip points -side
     for new_tip_side in (-tip_side, tip_side):
         # rebuild the poke behind the partner curve
-        enter1_lift = x_part + (xe1 - xe1)  # partner lift at its own x
         tip_x = x_part - new_tip_side * depth
         cand = [
             Vertex(xe1, te1, TELEPORT, pair=pair.id, side=side, role=EXIT),

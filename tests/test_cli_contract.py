@@ -6,7 +6,10 @@ The workspaces are the bundled fixtures with one or two seeded edits:
 a rational nudged, a field or list item deleted or duplicated, or a
 value replaced by one of another type.  Replacement values stay small;
 a huge ``binding_count`` makes ``homology`` build a quadratic number of
-relations, which is a size problem rather than a contract one.
+relations, which is a size problem rather than a contract one.  The
+same edits are made to the Lagrangian fixture, run through ``tb``,
+``rot-lagr`` and ``check --page``, and to one-step move scripts run
+through ``moves``.
 """
 
 import contextlib
@@ -17,13 +20,25 @@ import random
 from fractions import Fraction
 
 from morsebook.cli import main
+from morsebook.fileio import MOVES_FORMAT
 
 SEED = 1
 WORKSPACES = 100
+LAGR_WORKSPACES = 150
+SCRIPTS = 60
 COMMANDS = ("check", "homology", "euler", "rot", "resolve")
 REPLACEMENTS = (
     0, 1, -1, 2, 7, True, None, [], {}, "0", "1/2", "-1/3", "1/0", "x",
     "plus", "minus", "cusp", "teleport", "exit", "enter", ["teleport", 1, "plus", "exit"],
+)
+# one step each on the disc unknot; cusp_trace names a pair disk_s3 lacks
+STEPS = (
+    {"move": "r1", "site": {"component": 0, "segment": 0, "u": "1/2"}},
+    {"move": "stabilize", "site": {"component": 0, "segment": 0, "u": "1/3", "variant": "up"}},
+    {"move": "k2", "site": {"component": 0, "segment": 0, "u": "1/2", "variant": "left"}},
+    {"move": "b1", "site": {"component": 0, "segment": 0, "u": "1/2", "variant": "down"}},
+    {"move": "s1", "site": {"component": 0, "vertex": 2, "depth": "1/2048"}},
+    {"move": "cusp_trace", "site": {"component": 0, "vertex": 2, "pair": 1, "side": "plus"}},
 )
 
 
@@ -94,11 +109,46 @@ def test_mutated_workspaces_keep_the_exit_code_contract(tmp_path):
             argv = [command, str(target)]
             if command in ("rot", "resolve"):
                 argv += ["--front", front]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), (i, name, argv, code)
-            assert len(err.getvalue().splitlines()) <= 1, (i, name, argv, err.getvalue())
-            codes[code] = codes.get(code, 0) + 1
+            _run(argv, codes, (i, name))
     # every exit code shows up, so the edits reach past the parser
     assert set(codes) == {0, 1, 2}, codes
+
+
+def test_mutated_lagrangian_workspaces_and_move_scripts_keep_the_contract(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    lagr = json.loads((tmp_path / "disk_s3_lagr.json").read_text())
+    rng = random.Random(SEED)
+    target = tmp_path / "mutated.json"
+    codes = {}
+    for i in range(LAGR_WORKSPACES):
+        doc = lagr
+        for _ in range(rng.randint(1, 2)):
+            doc = _mutate(rng, doc)
+        target.write_text(json.dumps(doc))
+        for command in ("tb", "rot-lagr", "check"):
+            argv = [command, str(target), "--page", "disk"]
+            if command != "check":
+                argv += ["--lagr", "unknot"]
+            _run(argv, codes, i)
+    assert set(codes) == {0, 1, 2}, codes
+
+    codes = {}
+    for i in range(SCRIPTS):
+        doc = {"format": MOVES_FORMAT, "steps": [rng.choice(STEPS)]}
+        for _ in range(rng.randint(1, 2)):
+            doc = _mutate(rng, doc)
+        target.write_text(json.dumps(doc))
+        argv = ["moves", str(tmp_path / "disk_s3.json"), "--front", "unknot", "--script", str(target)]
+        _run(argv, codes, (i, doc))
+    assert set(codes) == {0, 1, 2}, codes
+
+
+def _run(argv, codes, where):
+    """Run ``main`` and check the contract; tally the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (where, argv, code)
+    assert len(err.getvalue().splitlines()) <= 1, (where, argv, err.getvalue())
+    codes[code] = codes.get(code, 0) + 1

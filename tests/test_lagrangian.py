@@ -7,11 +7,14 @@ import pytest
 from conftest import band_tongue, random_lagrangian, random_page
 
 from morsebook.fixtures import disk_s3_lagr
+from morsebook.geometry import box_overlaps, det, sub
 from morsebook.lagrangian import (
     Band,
     LagrangianDiagram,
     PageModel,
+    _collinear_overlap,
     band_pass_counts,
+    diagram_crossings,
     field_relative_turning,
     rot_lagrangian,
     tb_writhe,
@@ -192,3 +195,122 @@ def test_vertex_perturbation_keeps_outputs():
     assert tb_writhe(page, nudged) == tb_writhe(page, diag)
     assert turning_number(page, nudged) == turning_number(page, diag)
     assert winding_numbers(page, nudged) == winding_numbers(page, diag)
+
+
+def _all_pairs_crossings(c):
+    """The all-pairs Fraction loop that the integer sweep replaced: the oracle."""
+    segs = list(c.segments())
+    out = []
+    for i in range(len(segs)):
+        ci1, s1, a1, b1 = segs[i]
+        for j in range(i + 1, len(segs)):
+            ci2, s2, a2, b2 = segs[j]
+            if ci1 == ci2:
+                n = len(c.components[ci1])
+                if (s1 - s2) % n in (0, 1) or (s2 - s1) % n in (0, 1):
+                    continue
+            d1 = sub(b1, a1)
+            d2 = sub(b2, a2)
+            denom = det(d1, d2)
+            w = sub(a2, a1)
+            if denom == 0:
+                if det(w, d1) == 0 and _collinear_overlap(a1, b1, a2, b2):
+                    raise InvalidInput("collinear overlapping segments")
+                continue
+            s = F(det(w, d2), denom)
+            u = F(det(w, d1), denom)
+            if 0 < s < 1 and 0 < u < 1:
+                pt = (a1[0] + s * d1[0], a1[1] + s * d1[1])
+                out.append(((ci1, s1), (ci2, s2), pt))
+            elif (s in (0, 1) and 0 <= u <= 1) or (u in (0, 1) and 0 <= s <= 1):
+                raise InvalidInput("segments touch at an endpoint; perturb input")
+    return out
+
+
+def _outcome(kernel, c):
+    try:
+        return kernel(c)
+    except InvalidInput as e:
+        return str(e)
+
+
+def _grid_polygon(rng):
+    """A closed polygon on a coarse rational grid: it crosses itself,
+    touches and overlaps often; consecutive vertices differ."""
+    denom = rng.choice((1, 2, 3))
+    size = rng.randint(3, 9)
+    pts = []
+    while len(pts) < size:
+        p = (F(rng.randint(-6, 6), denom), F(rng.randint(-6, 6), denom))
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if pts[0] == pts[-1]:
+        pts.pop()
+    return pts
+
+
+def test_crossing_kernel_matches_the_all_pairs_loop():
+    rng = random.Random(1979)
+    kinds = {"crossings": 0, "raised": 0}
+    for i in range(600):
+        if i % 2:
+            c = random_lagrangian(rng, random_page(rng))
+        else:
+            c = LagrangianDiagram([_grid_polygon(rng) for _ in range(rng.randint(1, 2))])
+        if any(len(comp) < 3 for comp in c.components):
+            continue
+        want = _outcome(_all_pairs_crossings, c)
+        assert _outcome(diagram_crossings, c) == want, c.components
+        if isinstance(want, str):
+            kinds["raised"] += 1
+        elif want:
+            kinds["crossings"] += 1
+    # the sample reaches both the crossing and the raising branches
+    assert min(kinds.values()) > 50, kinds
+
+
+TRIANGLE = [(0, 0), (4, 0), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        # a vertex on the triangle's base
+        ([(2, 0), (3, -2), (1, -2)], "segments touch at an endpoint; perturb input"),
+        # an edge along the triangle's base
+        ([(1, 0), (3, 0), (2, -3)], "collinear overlapping segments"),
+        # boxes meeting only at the corner (4, 0), which both segments hold
+        ([(4, 0), (6, -1), (5, -3)], "segments touch at an endpoint; perturb input"),
+    ],
+)
+def test_crossing_kernel_raises_what_the_all_pairs_loop_raises(other, message):
+    c = LagrangianDiagram([TRIANGLE, other])
+    assert _outcome(_all_pairs_crossings, c) == message
+    with pytest.raises(InvalidInput) as err:
+        diagram_crossings(c)
+    assert str(err.value) == message
+
+
+def test_crossing_kernel_on_boxes_meeting_at_a_corner_only():
+    # the boxes of (2, 3)-(0, 0) and (-1, 3)-(0, 5) meet at the corner
+    # (0, 3), which neither segment holds
+    assert box_overlaps([(0, 2, 0, 3), (-1, 0, 3, 5), (3, 4, 0, 1)]) == [(0, 1)]
+    c = LagrangianDiagram([TRIANGLE, [(-1, 3), (0, 5), (-2, 6)]])
+    assert diagram_crossings(c) == _all_pairs_crossings(c) == []
+
+
+def test_triple_point_message_is_unchanged():
+    page = PageModel((0, 0), 40)
+    # three strands through (2, 1): a horizontal, a vertical and a diagonal
+    c = LagrangianDiagram(
+        [
+            [(0, 1), (4, 1), (4, -2)],
+            [(2, -1), (2, 3), (-3, 3)],
+            [(0, -1), (4, 3), (5, -4)],
+        ]
+    )
+    found = diagram_crossings(c)
+    assert found == _all_pairs_crossings(c)
+    assert [pt for _, _, pt in found].count((F(2), F(1))) == 3
+    issues = [msg for _, msg in validate_lagrangian(page, c)]
+    assert "triple point at (Fraction(2, 1), Fraction(1, 1))" in issues

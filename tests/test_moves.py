@@ -1,9 +1,15 @@
 from fractions import Fraction as F
 
+import contextlib
+import io
+import json
 import random
+import re
 
 import pytest
 
+from morsebook.cli import main
+from morsebook.fileio import MOVES_FORMAT
 from morsebook.fixtures import disk_s3, disk_s3_unknot, fig1_torus, fig5_diagram, fig5_lambda
 from morsebook.front import CUSP, PLAIN, FrontComponent, FrontProjection, Vertex, cusp_counts, lk_binding
 from morsebook.invariants import rot_front
@@ -155,6 +161,41 @@ def test_pattern_not_found_on_bad_sites():
         apply_move(d, f, "cusp_trace", {"component": 0, "vertex": 1, "pair": 1, "side": "plus"})
     with pytest.raises(InvalidInput):
         apply_move(d, f, "nonsense", {})
+
+
+@pytest.mark.parametrize(
+    "site, code, message",
+    [
+        ({}, 1, "error: site has no 'component'"),
+        (5, 2, "parse error: moves.steps[0].site: expected an object"),
+        ({"component": 0, "segment": 9}, 1, "error: site segment 9 is out of range"),
+    ],
+)
+def test_malformed_sites_end_in_a_one_line_error(tmp_path, site, code, message):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"format": MOVES_FORMAT, "steps": [{"move": "r1", "site": site}]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got = main(["moves", str(tmp_path / "disk_s3.json"), "--front", "unknot", "--script", str(script)])
+    assert (got, err.getvalue()) == (code, message + "\n")
+
+
+@pytest.mark.parametrize(
+    "move, site, message",
+    [
+        ("s1", {"component": 1, "vertex": 0}, "component 1 is out of range"),
+        ("s1", {"component": 0, "vertex": -1}, "vertex -1 is out of range"),
+        ("r1", {"component": 0, "segment": "x"}, "segment 'x' is not an integer"),
+        ("r1", {"component": 0, "segment": 0, "u": "1/0"}, "u '1/0' is not a rational"),
+        ("stabilize", {"component": 0, "segment": 0, "variant": []}, "variant"),
+        ("cusp_trace", {"component": 0, "vertex": 0, "pair": 1}, "site has no 'side'"),
+    ],
+)
+def test_malformed_site_values_are_pattern_errors(move, site, message):
+    with pytest.raises(PatternNotFound, match=re.escape(message)):
+        apply_move(disk_s3(), disk_s3_unknot(), move, site)
 
 
 from conftest import random_move_sites as _random_site_instances

@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from .abelian import AbelianGroup
 from .geometry import (
-    DegenerateGeometry,
     eval_piecewise,
     integer_crossings,
     param_at_value,
-    segment_meet_torus,
+    torus_meets,
 )
 from .validation import ValidationReport
 
@@ -239,38 +238,33 @@ def validate_diagram(d):
 
     # disjointness: distinct curves meet only at teleport contact points
     contacts = _teleport_contacts(d)
-    curves = list(d.curves())
-    for a in range(len(curves)):
-        for b in range(a, len(curves)):
-            i1, s1, c1 = curves[a]
-            i2, s2, c2 = curves[b]
-            if c1.torus != c2.torus:
-                continue
-            segs1 = list(c1.segments())
-            segs2 = list(c2.segments())
-            for n1, (si1, p1, p2) in enumerate(segs1):
-                for n2, (si2, q1, q2) in enumerate(segs2):
-                    if a == b and n2 <= n1:
-                        continue
-                    if a == b and n2 == n1 + 1:
-                        continue  # consecutive segments share a vertex
-                    if a == b and n1 == 0 and n2 == len(segs1) - 1:
-                        continue  # cyclically adjacent through the t=1 closure
-                    try:
-                        hits = segment_meet_torus(p1, p2, q1, q2)
-                    except DegenerateGeometry:
-                        pt = (p1, p2, q1, q2)
-                        if not _is_contact(contacts, c1.torus, pt):
-                            report.add(
-                                "pair %d/%d" % (d.trace_pairs[i1].id, d.trace_pairs[i2].id),
-                                "trace curves touch degenerately away from teleports",
-                            )
-                        continue
-                    if hits:
-                        report.add(
-                            "pair %d/%d" % (d.trace_pairs[i1].id, d.trace_pairs[i2].id),
-                            "trace curves cross transversally",
-                        )
+    segs = [
+        (pi, ci, n, curve.torus, p1, p2)
+        for ci, (pi, _, curve) in enumerate(d.curves())
+        for n, (_, p1, p2) in enumerate(curve.segments())
+    ]
+    last = {ci: n for _, ci, n, *_ in segs}  # curve -> its last segment
+
+    def consecutive(i, j):
+        # along one curve, and through its t=1 closure
+        _, c1, n1 = segs[i][:3]
+        _, c2, n2 = segs[j][:3]
+        return c1 == c2 and (n2 == n1 + 1 or (n1 == 0 and n2 == last[c1]))
+
+    def curve_pair_order(meet):
+        i, j = meet[:2]
+        return (segs[i][1], segs[j][1], i, j)
+
+    meets = torus_meets([s[3:] for s in segs], skip=consecutive)
+    for i, j, hits, error in sorted(meets, key=curve_pair_order):
+        pi1, _, _, torus, p1, p2 = segs[i]
+        pi2, _, _, _, q1, q2 = segs[j]
+        loc = "pair %d/%d" % (d.trace_pairs[pi1].id, d.trace_pairs[pi2].id)
+        if error is not None:
+            if not _is_contact(contacts, torus, (p1, p2, q1, q2)):
+                report.add(loc, "trace curves touch degenerately away from teleports")
+        elif hits:
+            report.add(loc, "trace curves cross transversally")
     return report
 
 

@@ -25,10 +25,10 @@ from .geometry import (
     det,
     cusp_direction,
     integer_crossings,
-    segment_meet_torus,
     slope,
     slope_closer_to_zero,
     sub,
+    torus_meets,
 )
 from .validation import InvalidInput, ValidationReport
 
@@ -263,18 +263,14 @@ def validate_front(d, f):
         for v in comp.vertices:
             if v.kind == TELEPORT:
                 teleport_pts.add((comp.torus, v.x % 1, v.t % 1))
-    for ci, i, torus, a, b, _, _, q1, q2 in _front_trace_pairs(d, f):
-        try:
-            segment_meet_torus(a, b, q1, q2)
-        except DegenerateGeometry:
-            ok = any(
-                (torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)
+    for ci, i, torus, a, b, _, _, q1, q2, _, error in _front_trace_pairs(d, f):
+        if error is None:
+            continue
+        if not any((torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)):
+            report.add(
+                "component %d" % ci,
+                "front touches a trace curve non-transversally at segment %d" % i,
             )
-            if not ok:
-                report.add(
-                    "component %d" % ci,
-                    "front touches a trace curve non-transversally at segment %d" % i,
-                )
 
     # self-crossings: transverse, no triple points
     try:
@@ -295,23 +291,20 @@ def validate_front(d, f):
 def crossings_raw(f):
     """All transverse crossings among front segments (exact, unsorted)."""
     segs = list(f.all_segments())
+
+    def adjacent(i, j):
+        ci1, i1 = segs[i][:2]
+        ci2, i2 = segs[j][:2]
+        return ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2)
+
     out = []
-    for a_idx in range(len(segs)):
-        for b_idx in range(a_idx + 1, len(segs)):
-            ci1, i1, t1, a1, b1 = segs[a_idx]
-            ci2, i2, t2, a2, b2 = segs[b_idx]
-            if t1 != t2:
-                continue
-            if ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2):
-                continue
-            try:
-                hits = segment_meet_torus(a1, b1, a2, b2)
-            except DegenerateGeometry:
-                if ci1 == ci2 and i1 == i2:
-                    continue
-                raise
-            for s, u, point in hits:
-                out.append(_make_crossing(t1, point, (ci1, i1, a1, b1), (ci2, i2, a2, b2)))
+    for i, j, hits, error in torus_meets([s[2:] for s in segs], skip=adjacent):
+        if error is not None:
+            raise DegenerateGeometry(error)
+        ci1, i1, t1, a1, b1 = segs[i]
+        ci2, i2, _, a2, b2 = segs[j]
+        for _, _, point in hits:
+            out.append(_make_crossing(t1, point, (ci1, i1, a1, b1), (ci2, i2, a2, b2)))
     return out
 
 
@@ -375,12 +368,17 @@ def lk_binding(f):
 
 
 def _front_trace_pairs(d, f):
-    """Each front segment with each trace segment on its torus."""
-    for ci, i, torus, a, b in f.all_segments():
-        for pi, side, curve in d.curves():
-            if curve.torus == torus:
-                for _, q1, q2 in curve.segments():
-                    yield ci, i, torus, a, b, pi, side, q1, q2
+    """Each front segment with each trace segment on its torus that it
+    meets or touches, with the torus_meets results of the pair."""
+    fsegs = list(f.all_segments())
+    tsegs = [
+        (pi, side, curve.torus, q1, q2)
+        for pi, side, curve in d.curves()
+        for _, q1, q2 in curve.segments()
+    ]
+    for i, j, hits, error in torus_meets([s[2:] for s in fsegs], [s[2:] for s in tsegs]):
+        pi, side, _, q1, q2 = tsegs[j]
+        yield fsegs[i] + (pi, side, q1, q2, hits, error)
 
 
 def trace_crossings(d, f):
@@ -391,9 +389,9 @@ def trace_crossings(d, f):
     its right.
     """
     out = []
-    for _, _, _, a, b, pi, side, q1, q2 in _front_trace_pairs(d, f):
-        # degenerate contacts are teleport junctions on valid fronts
-        for s, u, point in segment_meet_torus(a, b, q1, q2, skip_degenerate=True):
+    # degenerate contacts are teleport junctions on valid fronts
+    for _, _, _, a, b, pi, side, q1, q2, hits, _ in _front_trace_pairs(d, f):
+        for _, _, point in hits:
             upward = 1 if det(sub(b, a), sub(q2, q1)) > 0 else -1
             out.append((pi, curve_orientation(side) * upward, point[1] % 1, side))
     return out

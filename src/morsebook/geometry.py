@@ -10,6 +10,7 @@ the caller, never resolved by epsilon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -128,6 +129,107 @@ def segment_meet_torus(p1, p2, q1, q2, skip_degenerate=False):
             if hit is not None:
                 out.append(hit)
     return out
+
+
+def torus_meets(segs, others=None, skip=None):
+    """Every touching pair of segments on the unit tori, in exact integers.
+
+    ``segs`` (and ``others``) hold (torus, a, b) triples in lifted
+    coordinates.  The pairs are (i, j), i < j, within ``segs``, or each
+    i of ``segs`` with each j of ``others``; only segments on one torus
+    pair up, and ``skip(i, j)`` leaves a pair out before any test.
+    Yields (i, j, hits, error) in ascending (i, j) for each pair that
+    segment_meet_torus(a_i, b_i, a_j, b_j) finds a meet or a contact
+    in: ``hits`` are its (s, u, point) meets on the transverse
+    translates, in its translate order, and ``error`` is the message of
+    its first degenerate translate, or None.
+
+    The points are scaled once to integers over their common
+    denominator.  Each segment's box goes into ``box_overlaps`` once for
+    every unit cell it reaches, shifted into the cell [0, 1)^2, so a
+    translate of one segment meets the other exactly when two of their
+    copies meet; only those translates are tested, with integer
+    determinants, and only a meet builds Fractions.
+    """
+    both = list(segs) if others is None else list(segs) + list(others)
+    first = len(segs)
+    scale = math.lcm(*(q.denominator for _, a, b in both for q in (*a, *b)))
+    ints = [(_scaled(a, scale), _scaled(b, scale)) for _, a, b in both]
+    cells = {}  # torus -> (boxes, (segment, x-cell, t-cell) per box)
+    for k, (torus, _, _) in enumerate(both):
+        (ax, at), (bx, bt) = ints[k]
+        x_lo, x_hi, t_lo, t_hi = min(ax, bx), max(ax, bx), min(at, bt), max(at, bt)
+        boxes, owners = cells.setdefault(torus, ([], []))
+        for mx in range(-(x_hi // scale), (scale - 1 - x_lo) // scale + 1):
+            for mt in range(-(t_hi // scale), (scale - 1 - t_lo) // scale + 1):
+                dx, dt = mx * scale, mt * scale
+                boxes.append((x_lo + dx, x_hi + dx, t_lo + dt, t_hi + dt))
+                owners.append((k, mx, mt))
+    shifts = set()  # (i, j, nx, nt): translate (nx, nt) of j meets i's box
+    for boxes, owners in cells.values():
+        for c1, c2 in box_overlaps(boxes):
+            (k1, mx1, mt1), (k2, mx2, mt2) = sorted((owners[c1], owners[c2]))
+            if k1 == k2 or (others is not None and not k1 < first <= k2):
+                continue
+            i, j = (k1, k2) if others is None else (k1, k2 - first)
+            if skip is None or not skip(i, j):
+                shifts.add((i, j, mx2 - mx1, mt2 - mt1))
+    for (i, j), translates in itertools.groupby(sorted(shifts), key=lambda s: s[:2]):
+        p1, p2 = ints[i]
+        q1, q2 = ints[j if others is None else j + first]
+        hits, error = [], None
+        for _, _, nx, nt in translates:
+            dx, dt = nx * scale, nt * scale
+            try:
+                meet = _meet_int(p1, p2, (q1[0] + dx, q1[1] + dt), (q2[0] + dx, q2[1] + dt))
+            except DegenerateGeometry as e:
+                error = error or str(e)
+                continue
+            if meet is not None:
+                s_num, u_num, denom = meet
+                den = scale * denom
+                point = (
+                    Fraction(p1[0] * denom + s_num * (p2[0] - p1[0]), den),
+                    Fraction(p1[1] * denom + s_num * (p2[1] - p1[1]), den),
+                )
+                hits.append((Fraction(s_num, denom), Fraction(u_num, denom), point))
+        if hits or error:
+            yield i, j, hits, error
+
+
+def _scaled(p, scale):
+    """The point ``p`` times ``scale``, a common multiple of its denominators."""
+    x, y = p
+    return (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+
+
+def _meet_int(p1, p2, q1, q2):
+    """segment_meet on integer points: None, or (s_num, u_num, denom)
+    with s = s_num / denom and u = u_num / denom, denom > 0."""
+    d1 = sub(p2, p1)
+    d2 = sub(q2, q1)
+    denom = det(d1, d2)
+    w = sub(q1, p1)
+    if denom == 0:
+        if det(w, d1) != 0:
+            return None
+        if d1 == (0, 0) and d2 == (0, 0):
+            if p1 == q1:
+                raise DegenerateGeometry("coincident points")
+            return None
+        axis = 0 if (d1 if d1 != (0, 0) else d2)[0] != 0 else 1
+        a1, a2, b1, b2 = p1[axis], p2[axis], q1[axis], q2[axis]
+        if max(min(a1, a2), min(b1, b2)) <= min(max(a1, a2), max(b1, b2)):
+            raise DegenerateGeometry("collinear overlap")
+        return None
+    s_num, u_num = det(w, d2), det(w, d1)
+    if denom < 0:
+        denom, s_num, u_num = -denom, -s_num, -u_num
+    if s_num < 0 or s_num > denom or u_num < 0 or u_num > denom:
+        return None
+    if s_num in (0, denom) or u_num in (0, denom):
+        raise DegenerateGeometry("endpoint contact")
+    return (s_num, u_num, denom)
 
 
 VERTICAL = object()  # slope -infinity sentinel

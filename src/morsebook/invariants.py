@@ -18,7 +18,7 @@ from .diagram import (
 )
 from .front import cusp_counts, lk_binding, null_trace_crossings, validate_front
 from .geometry import min_positive_gap
-from .resolution import _intersect_L1, _multiplicities, _total_resolution
+from .resolution import _horizontal_sum, _intersect_L1, _multiplicities
 from .validation import InvalidInput
 
 
@@ -67,6 +67,11 @@ def rot_front(d, f_lambda, f_x=None):
     which must make the class in the cylinder vanish.  Validates the
     front and the union once at entry; one pass over the union's trace
     crossings gives its class in the cylinder and every L1 term.
+
+    L0.H is read off the union's multiplicities (``_horizontal_sum``)
+    without building the total resolution, so unlike ``resolve`` and
+    ``render`` this never fails with "could not realize resolution
+    geometry" or an assertion of the resolution's assembly.
     """
     validate_front(d, f_lambda).raise_if_invalid("front")
     D, U = cusp_counts(f_lambda)
@@ -75,7 +80,7 @@ def rot_front(d, f_lambda, f_x=None):
     if f_x is not None:
         validate_front(d, union).raise_if_invalid("front union")
     hits = null_trace_crossings(d, union)
-    L0 = _total_resolution(d, union, _multiplicities(d, union)).horizontal_sum()
+    L0 = _horizontal_sum(d, union, _multiplicities(d, union))
     L1s = [_intersect_L1(d, hits, pair.id) for pair in d.trace_pairs]
     aux = 0 if f_x is None else len(f_x.components)
     return RotationReport(D, U, lk, L0, L1s, aux)

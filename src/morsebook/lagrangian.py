@@ -239,6 +239,10 @@ def _validate(p, c):
     The list is None when the report fails before the crossings.
     """
     report = ValidationReport()
+    critical = p.marked_points
+    for i, m in enumerate(critical):
+        if m in critical[:i]:
+            report.add("page", "two marked points coincide; perturb the bands")
     for ci, comp in enumerate(c.components):
         loc = "component %d" % ci
         if len(comp) < 3:

@@ -16,6 +16,18 @@ interval of every curve is 0, a front endpoint changes the count by +1
 where the front runs into the skeleton and -1 where it comes back out,
 and at a handle slide the sliding curve's count pours into (or drains
 from) the crossed curves while carrying across its own break.
+
+The intersection with the index-0 link can also be read off the front
+projection and the multiplicities alone, as the paper's explicit
+formula: smoothing keeps the class in H_1 of the torus, and every
+resolution curve winds at most once in x, so the signed count of
+horizontal curves is the x-displacement of the resolution cycle.  That
+is the x-displacement of the front's own segments, plus, on every
+trace interval, its multiplicity times the trace curve's
+x-displacement over the interval (``_horizontal_sum``).  ``rot`` uses
+this formula and builds no resolution; ``resolve``, ``render``,
+``intersect_L0`` and ``intersect_curve_surface`` build the full
+construction, which is the check on the formula.
 """
 
 from __future__ import annotations
@@ -31,10 +43,10 @@ from .geometry import (
     eval_piecewise,
     integer_crossings,
     min_positive_gap,
-    segment_meet_torus,
     slope,
     slope_closer_to_zero,
     sub,
+    torus_meets,
 )
 from .validation import InvalidInput
 
@@ -193,6 +205,28 @@ def _multiplicities(d, f):
                 % (key,)
             )
     return MultiplicityAssignment(intervals, endpoints)
+
+
+def _horizontal_sum(d, f, assignment):
+    """L0.H of a cylinder-null front, read off the front and its
+    multiplicities without building the resolution.
+
+    Equals ``_total_resolution(d, f, assignment).horizontal_sum()``:
+    the x-displacement of the front's segments (teleport jumps left
+    out) plus, on every trace interval, its multiplicity times the
+    curve's x-displacement over the interval.
+    """
+    total = sum(b[0] - a[0] for _, _, _, a, b in f.all_segments())
+    for (pair_id, side), spans in assignment.intervals.items():
+        curve = d.trace_pairs[d.pair_index(pair_id)].curve(side)
+        for t0, t1, m in spans:
+            for strand in curve.strands:
+                lo, hi = max(strand[0][1], t0), min(strand[-1][1], t1)
+                if m and lo < hi:
+                    total += m * (eval_piecewise(strand, hi) - eval_piecewise(strand, lo))
+    if total % 1 != 0:
+        raise AssertionError("resolution cycle with a fractional x-class")
+    return int(total)
 
 
 class Piece:
@@ -594,24 +628,28 @@ def _assemble(pieces, junction_next):
         for si, a, b in piece.segments():
             seglist.append((pi, si, a, b))
 
+    ends = [_ends_mod1(a, b) for _, _, a, b in seglist]
+
+    def adjacent(i, j):
+        pi, si = seglist[i][:2]
+        pj, sj = seglist[j][:2]
+        return pi == pj and _cyclically_adjacent(pieces[pi], si, sj)
+
     crossings = []  # (seg_i tuple, seg_j tuple)
     cross_params = {}  # (pi, si) -> list of (param, cid, slot)
-    for i in range(len(seglist)):
-        pi, si, a1, b1 = seglist[i]
-        for j in range(i + 1, len(seglist)):
-            pj, sj, a2, b2 = seglist[j]
-            if pieces[pi].torus != pieces[pj].torus:
-                continue
-            if pi == pj and _cyclically_adjacent(pieces[pi], si, sj):
-                continue
-            # shared endpoints are designed junctions; other translates
-            # may still cross honestly
-            shared = _share_endpoint_mod1(a1, b1, a2, b2)
-            for s, u, point in segment_meet_torus(a1, b1, a2, b2, skip_degenerate=shared):
-                cid = len(crossings)
-                crossings.append(((pi, si), (pj, sj)))
-                cross_params.setdefault((pi, si), []).append((s, cid, 0))
-                cross_params.setdefault((pj, sj), []).append((u, cid, 1))
+    segs = [(pieces[pi].torus, a, b) for pi, _, a, b in seglist]
+    for i, j, hits, error in torus_meets(segs, skip=adjacent):
+        # shared endpoints are designed junctions; other translates
+        # may still cross honestly
+        if error is not None and ends[i].isdisjoint(ends[j]):
+            raise DegenerateGeometry(error)
+        pi, si = seglist[i][:2]
+        pj, sj = seglist[j][:2]
+        for s, u, _ in hits:
+            cid = len(crossings)
+            crossings.append(((pi, si), (pj, sj)))
+            cross_params.setdefault((pi, si), []).append((s, cid, 0))
+            cross_params.setdefault((pj, sj), []).append((u, cid, 1))
 
     # edges: maximal runs of each piece between crossing stations
     edges = []  # dict: points, from (cid, slot) or None, to ...
@@ -718,10 +756,8 @@ def _cyclically_adjacent(piece, si, sj):
     return abs(si - sj) <= 1
 
 
-def _share_endpoint_mod1(a1, b1, a2, b2):
-    s1 = {(a1[0] % 1, a1[1] % 1), (b1[0] % 1, b1[1] % 1)}
-    s2 = {(a2[0] % 1, a2[1] % 1), (b2[0] % 1, b2[1] % 1)}
-    return bool(s1 & s2)
+def _ends_mod1(a, b):
+    return {(a[0] % 1, a[1] % 1), (b[0] % 1, b[1] % 1)}
 
 
 def intersect_L0(d, f):
@@ -799,27 +835,24 @@ def intersect_curve_surface(d, f_owner, f_other):
     Validates each front once at entry."""
     validate_front(d, f_other).raise_if_invalid("front")
     res = total_resolution(d, f_owner)
+    others = list(f_other.all_segments())
+    own = [(piece, q1, q2) for piece in res.pieces for _, q1, q2 in piece.segments()]
     total = 0
-    for ci, i, torus, a, b in f_other.all_segments():
-        s_other = slope(a, b)
-        for piece in res.pieces:
-            if piece.torus != torus:
-                continue
-            for si, q1, q2 in piece.segments():
-                if _share_endpoint_mod1(a, b, q1, q2):
-                    raise InvalidInput("fronts share points; perturb input")
-                try:
-                    hits = segment_meet_torus(a, b, q1, q2)
-                except DegenerateGeometry:
-                    raise InvalidInput("degenerate contact between fronts; perturb input")
-                for s, u, point in hits:
-                    other_dir = sub(b, a)
-                    piece_dir = sub(q2, q1)
-                    if piece.kind == "front":
-                        s_own = slope(q1, q2)
-                        if s_other == s_own:
-                            raise InvalidInput("equal-slope crossing; perturb input")
-                        if not slope_closer_to_zero(s_other, s_own):
-                            continue  # the other front passes under
-                    total += 1 if det(other_dir, piece_dir) > 0 else -1
+    for i, j, hits, error in torus_meets(
+        [s[2:] for s in others], [(piece.torus, q1, q2) for piece, q1, q2 in own]
+    ):
+        _, _, _, a, b = others[i]
+        piece, q1, q2 = own[j]
+        if not _ends_mod1(a, b).isdisjoint(_ends_mod1(q1, q2)):
+            raise InvalidInput("fronts share points; perturb input")
+        if error is not None:
+            raise InvalidInput("degenerate contact between fronts; perturb input")
+        for _ in hits:
+            if piece.kind == "front":
+                s_other, s_own = slope(a, b), slope(q1, q2)
+                if s_other == s_own:
+                    raise InvalidInput("equal-slope crossing; perturb input")
+                if not slope_closer_to_zero(s_other, s_own):
+                    continue  # the other front passes under
+            total += 1 if det(sub(b, a), sub(q2, q1)) > 0 else -1
     return total

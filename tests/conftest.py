@@ -191,6 +191,29 @@ def random_move_sites(rng, count, move, variant=None):
         yield (d, start, site, out)
 
 
+def move_walk(rng, d, f, steps):
+    """``f``, then the fronts grown from it by seeded r1, stabilize, r1
+    and k2 left moves, skipping the steps whose site does not fit."""
+    from morsebook.moves import apply_move
+    from morsebook.validation import InvalidInput
+
+    yield f
+    for k in range(steps):
+        move = ("r1", "stabilize", "r1", "k2")[k % 4]
+        site = {
+            "component": 0,
+            "segment": rng.randrange(len(f.components[0].vertices)),
+            "u": F(rng.randint(3, 7), 10),
+        }
+        if move != "r1":
+            site["variant"] = "left" if move == "k2" else rng.choice(["up", "down"])
+        try:
+            f = apply_move(d, f, move, site)
+        except InvalidInput:
+            continue
+        yield f
+
+
 def band_tongue(page, band_index, depth=F(3, 2)):
     """A null-homologous loop reaching through one band past its saddle."""
     band = page.bands[band_index]

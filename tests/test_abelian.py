@@ -1,6 +1,8 @@
 import random
 
-from morsebook.abelian import AbelianGroup, mat_det, mat_mul, smith_normal_form
+from matrices import mat_det, mat_mul
+
+from morsebook.abelian import AbelianGroup, smith_normal_form
 
 
 def reconstruct(m, diag, u, v):

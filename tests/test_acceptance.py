@@ -20,9 +20,10 @@ from conftest import (
     random_move_sites,
     random_page,
 )
+from matrices import mat_det, mat_mul
 
 from morsebook import fixtures as fx
-from morsebook.abelian import mat_det, mat_mul, smith_normal_form
+from morsebook.abelian import smith_normal_form
 from morsebook.cli import main
 from morsebook.diagram import h1_presentation, propagate_labels
 from morsebook.front import cusp_counts, cylinder_class, front_class, lk_binding

@@ -152,3 +152,25 @@ def _run(argv, codes, where):
     assert code in (0, 1, 2), (where, argv, code)
     assert len(err.getvalue().splitlines()) <= 1, (where, argv, err.getvalue())
     codes[code] = codes.get(code, 0) + 1
+
+
+def test_page_listing_one_band_twice_keeps_the_contract(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "disk_s3_lagr.json").read_text())
+    band = {"corners": [["1/2", "5"], ["-1/2", "5"], ["-1/2", "8"], ["1/2", "8"]]}
+    doc["pages"]["disk"]["bands"] = [band]
+    target = tmp_path / "one-band.json"
+    for bands, want in ((1, 0), (2, 1)):
+        if bands == 2:
+            # the list-item duplication of _mutate, on the band list
+            bands_list = doc["pages"]["disk"]["bands"]
+            bands_list.insert(0, copy.deepcopy(bands_list[0]))
+        target.write_text(json.dumps(doc))
+        for command in ("tb", "rot-lagr", "check"):
+            argv = [command, str(target), "--page", "disk"]
+            if command != "check":
+                argv += ["--lagr", "unknot"]
+            codes = {}
+            _run(argv, codes, bands)
+            assert codes == {want: 1}, (argv, bands)

@@ -187,3 +187,71 @@ def test_vertical_line_class_sum_on_fig1():
     lab = propagate_labels(d)
     assert vertical_line_class_sum(lab, 0, F(1, 4)).coeffs == (0, 0)
     assert vertical_line_class_sum(lab, 0, F(1, 2)).coeffs == (1, 0)
+
+
+def _oracle_disjointness(d):
+    """The all-pairs Fraction loop of the trace-curve disjointness check."""
+    from morsebook.diagram import _is_contact, _teleport_contacts
+    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
+
+    out = []
+    contacts = _teleport_contacts(d)
+    curves = list(d.curves())
+    for a in range(len(curves)):
+        for b in range(a, len(curves)):
+            i1, s1, c1 = curves[a]
+            i2, s2, c2 = curves[b]
+            if c1.torus != c2.torus:
+                continue
+            segs1 = list(c1.segments())
+            segs2 = list(c2.segments())
+            loc = "pair %d/%d" % (d.trace_pairs[i1].id, d.trace_pairs[i2].id)
+            for n1, (si1, p1, p2) in enumerate(segs1):
+                for n2, (si2, q1, q2) in enumerate(segs2):
+                    if a == b and (n2 <= n1 or n2 == n1 + 1):
+                        continue
+                    if a == b and n1 == 0 and n2 == len(segs1) - 1:
+                        continue
+                    try:
+                        hits = segment_meet_torus(p1, p2, q1, q2)
+                    except DegenerateGeometry:
+                        if not _is_contact(contacts, c1.torus, (p1, p2, q1, q2)):
+                            out.append((loc, "trace curves touch degenerately away from teleports"))
+                        continue
+                    if hits:
+                        out.append((loc, "trace curves cross transversally"))
+    return out
+
+
+def _random_crossing_curve(rng, shared):
+    """One closed single-strand curve, winding up to twice across x = 1,
+    sometimes through the point ``shared``."""
+    ts = sorted(rng.sample(range(1, 16), rng.randint(0, 3)))
+    x0 = F(2 * rng.randint(0, 7) + 1, 16)
+    pts = [(x0, F(0))]
+    for t in ts:
+        pts.append((F(2 * rng.randint(-8, 23) + 1, 32), F(t, 16)))
+    if rng.random() < 0.3:
+        pts.insert(1, shared)
+        pts.sort(key=lambda p: p[1])
+    pts.append((x0 + rng.randint(-2, 2), F(1)))
+    return TraceCurve(0, [pts])
+
+
+def test_disjointness_kernel_matches_all_pairs_loop():
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(150):
+        shared = (F(2 * rng.randint(0, 15) + 1, 32), F(2 * rng.randint(0, 15) + 1, 64))
+        pairs = [
+            TracePair(j + 1, _random_crossing_curve(rng, shared), _random_crossing_curve(rng, shared))
+            for j in range(rng.randint(1, 2))
+        ]
+        d = MorseDiagram(1, pairs)
+        got = [(loc, msg) for loc, msg in validate_diagram(d) if "/" in loc]
+        assert got == _oracle_disjointness(d)
+        seen.update(msg for _, msg in got)
+    assert seen == {
+        "trace curves cross transversally",
+        "trace curves touch degenerately away from teleports",
+    }

@@ -231,3 +231,162 @@ def test_orientation_reversal_negates_classes_and_swaps_cusps():
     g_cls = front_class(d, f, group=g)
     r_cls = front_class(d, f.reversed(), group=g)
     assert r_cls == -g_cls
+
+
+# ---------------------------------------------------------------------
+# torus_meets against the all-pairs loops it replaced
+
+def _oracle_crossings_raw(f):
+    """The all-pairs Fraction loop of crossings_raw, for reference."""
+    from morsebook.front import _adjacent_segments, _make_crossing
+    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
+
+    segs = list(f.all_segments())
+    out = []
+    for a_idx in range(len(segs)):
+        for b_idx in range(a_idx + 1, len(segs)):
+            ci1, i1, t1, a1, b1 = segs[a_idx]
+            ci2, i2, t2, a2, b2 = segs[b_idx]
+            if t1 != t2:
+                continue
+            if ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2):
+                continue
+            try:
+                hits = segment_meet_torus(a1, b1, a2, b2)
+            except DegenerateGeometry:
+                if ci1 == ci2 and i1 == i2:
+                    continue
+                raise
+            for s, u, point in hits:
+                out.append(_make_crossing(t1, point, (ci1, i1, a1, b1), (ci2, i2, a2, b2)))
+    return out
+
+
+def _oracle_front_trace_pairs(d, f):
+    """Each front segment with each trace segment on its torus, tested
+    translate by translate: the pairs with a meet or a contact."""
+    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
+
+    for ci, i, torus, a, b in f.all_segments():
+        for pi, side, curve in d.curves():
+            if curve.torus != torus:
+                continue
+            for _, q1, q2 in curve.segments():
+                try:
+                    segment_meet_torus(a, b, q1, q2)
+                    error = None
+                except DegenerateGeometry as e:
+                    error = str(e)
+                hits = segment_meet_torus(a, b, q1, q2, skip_degenerate=True)
+                if hits or error:
+                    yield (ci, i, torus, a, b, pi, side, q1, q2, hits, error)
+
+
+def _oracle_trace_crossings(d, f):
+    from morsebook.diagram import curve_orientation
+    from morsebook.geometry import det, sub
+
+    out = []
+    for _, _, _, a, b, pi, side, q1, q2, hits, _ in _oracle_front_trace_pairs(d, f):
+        for s, u, point in hits:
+            upward = 1 if det(sub(b, a), sub(q2, q1)) > 0 else -1
+            out.append((pi, curve_orientation(side) * upward, point[1] % 1, side))
+    return out
+
+
+def _outcome(fn, *args):
+    """A crossing list as plain tuples, or the message it raised with."""
+    from morsebook.geometry import DegenerateGeometry
+
+    try:
+        found = fn(*args)
+    except DegenerateGeometry as e:
+        return ("raised", str(e))
+    return [(c.torus, c.point, c.over, c.under, c.sign) for c in found]
+
+
+def assert_kernel_matches(d, f):
+    from morsebook.front import _front_trace_pairs, crossings_raw, trace_crossings
+
+    assert _outcome(crossings_raw, f) == _outcome(_oracle_crossings_raw, f)
+    assert list(_front_trace_pairs(d, f)) == list(_oracle_front_trace_pairs(d, f))
+    assert trace_crossings(d, f) == _oracle_trace_crossings(d, f)
+
+
+def test_kernel_matches_all_pairs_on_generated_fronts():
+    import random
+
+    from conftest import (
+        random_almond_front,
+        random_annulus_diagram,
+        random_identity_diagram,
+        random_move_sites,
+    )
+
+    rng = random.Random(808)
+    for _ in range(60):
+        d = random_identity_diagram(rng)
+        assert_kernel_matches(d, random_almond_front(rng, d))
+        # trace curves winding across the x seam
+        d = random_annulus_diagram(rng)
+        assert_kernel_matches(d, random_almond_front(rng, d))
+    for move in ("r1", "cusp_trace", "k2", "k3", "b1"):
+        for d, f, _, out in random_move_sites(rng, 8, move):
+            assert_kernel_matches(d, f)
+            assert_kernel_matches(d, out)
+
+
+def test_kernel_matches_all_pairs_on_move_walks():
+    import random
+
+    from conftest import move_walk
+
+    rng = random.Random(809)
+    for d, f in ((disk_s3(), disk_s3_unknot()), (fig1_torus(), fig5_lambda())):
+        for g in move_walk(rng, d, f, 24):
+            assert_kernel_matches(d, g)
+        assert_kernel_matches(d, g.union(fig5_lambda_prime() if d.k else diamond()))
+        # a front laid over itself overlaps collinearly: both raise alike
+        assert _outcome(_oracle_crossings_raw, g.union(g))[0] == "raised"
+        assert_kernel_matches(d, g.union(g))
+
+
+def _oracle_pair(a1, b1, a2, b2):
+    """segment_meet_torus on one pair as (hits, first degenerate message)."""
+    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
+
+    try:
+        segment_meet_torus(a1, b1, a2, b2)
+        error = None
+    except DegenerateGeometry as e:
+        error = str(e)
+    return segment_meet_torus(a1, b1, a2, b2, skip_degenerate=True), error
+
+
+SEAM_CASES = {
+    # a crossing just across x = 1, with the second segment's translate by -1
+    "across x=1": ((F(31, 32), F(1, 2)), (F(33, 32), F(7, 16)), (F(1, 64), F(9, 16)), (F(1, 48), F(3, 8)), 1),
+    # the same just across t = 1
+    "across t=1": ((F(1, 2), F(33, 32)), (F(9, 16), F(31, 32)), (F(7, 16), F(1, 64)), (F(5, 8), F(1, 48)), 1),
+    # a segment wider than 1 meets three translates of a short one
+    "wider than 1": ((F(1, 3), F(1, 2)), (F(17, 6), F(7, 16)), (F(1, 2), F(9, 16)), (F(33, 64), F(7, 16)), 3),
+    # boxes that meet only at a corner after a translate, segments apart
+    "corner boxes": ((F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(7, 4), F(1)), (F(2), F(3, 4)), 0),
+    # an endpoint touch across the seam is degenerate
+    "endpoint touch": ((F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(7, 4), F(1, 4)), (F(2), F(-3, 4)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEAM_CASES))
+def test_kernel_matches_all_pairs_across_the_seams(name):
+    from morsebook.geometry import torus_meets
+
+    a1, b1, a2, b2, count = SEAM_CASES[name]
+    hits, error = _oracle_pair(a1, b1, a2, b2)
+    assert len(hits) == count
+    assert (error == "endpoint contact") == (name == "endpoint touch")
+    met = [(hits, error)] if hits or error else []
+    assert list(torus_meets([(0, a1, b1), (0, a2, b2)])) == [(0, 1) + m for m in met]
+    assert list(torus_meets([(0, a1, b1)], [(0, a2, b2)])) == [(0, 0) + m for m in met]
+    # a segment on another torus never pairs up
+    assert list(torus_meets([(0, a1, b1), (1, a2, b2)])) == []

@@ -314,3 +314,18 @@ def test_triple_point_message_is_unchanged():
     assert [pt for _, _, pt in found].count((F(2), F(1))) == 3
     issues = [msg for _, msg in validate_lagrangian(page, c)]
     assert "triple point at (Fraction(2, 1), Fraction(1, 1))" in issues
+
+
+def test_page_listing_one_band_twice_is_invalid():
+    # two saddles at one point: the field-relative check used to trip
+    # its assertion instead of validation refusing the page
+    band = [(5, F(1, 2)), (5, -F(1, 2)), (8, -F(1, 2)), (8, F(1, 2))]
+    page = PageModel((0, 0), 10, [Band(band), Band(band)])
+    c = LagrangianDiagram([band_tongue(page, 0)], [])
+    report = validate_lagrangian(page, c)
+    assert ("page", "two marked points coincide; perturb the bands") in list(report)
+    for compute in (rot_lagrangian, tb_writhe):
+        with pytest.raises(InvalidInput, match="marked points coincide"):
+            compute(page, c)
+    # one copy of the band is a valid page for the same curve
+    assert validate_lagrangian(PageModel((0, 0), 10, [Band(band)]), c).ok

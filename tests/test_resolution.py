@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import almond, random_almond_front, random_identity_diagram
+from conftest import almond, move_walk, random_almond_front, random_identity_diagram
 
 from morsebook.diagram import MINUS, PLUS, MorseDiagram, TraceCurve, TracePair
 from morsebook.fixtures import (
@@ -251,10 +251,16 @@ def test_endpoint_consumption_and_circle_count():
         assert c.kind in ("disc", "horizontal")
 
 
+def _share_endpoint_mod1(a1, b1, a2, b2):
+    s1 = {(a1[0] % 1, a1[1] % 1), (b1[0] % 1, b1[1] % 1)}
+    s2 = {(a2[0] % 1, a2[1] % 1), (b2[0] % 1, b2[1] % 1)}
+    return bool(s1 & s2)
+
+
 def union_find_circles(res):
     """Independent Seifert-circle count: union sub-edges directly."""
     from morsebook.geometry import segment_meet_torus
-    from morsebook.resolution import _cyclically_adjacent, _share_endpoint_mod1
+    from morsebook.resolution import _cyclically_adjacent
 
     pieces = res.pieces
     seglist = []
@@ -329,3 +335,88 @@ def union_find_circles(res):
             nxt = junction_next[key]
             union(last, piece_bounds[nxt][0])
     return len({find(x) for x in list(parent)})
+
+
+# ---------------------------------------------------------------------
+# L0.H read off the multiplicities against the total resolution
+
+def assert_formula_matches(d, f):
+    from morsebook.resolution import _horizontal_sum, _multiplicities, _total_resolution
+
+    m = _multiplicities(d, f)
+    assert _horizontal_sum(d, f, m) == _total_resolution(d, f, m).horizontal_sum()
+
+
+def test_formula_matches_resolution_on_acceptance_generators():
+    from conftest import random_move_sites
+
+    rng = random.Random(5)
+    # criterion 5: the moves it runs rot on (b1 leaves the cylinder)
+    for move in ("r1", "cusp_trace", "s1", "k2", "k3"):
+        for d, f, _, out in random_move_sites(rng, 10, move):
+            assert_formula_matches(d, f)
+            assert_formula_matches(d, out)
+    # criterion 6: locally trivial fronts, some wrapped by k2
+    for _ in range(40):
+        d = random_identity_diagram(rng, wiggles=False)
+        f = random_almond_front(rng, d)
+        variant = "left" if rng.random() < 0.5 else "right"
+        try:
+            f = apply_move(
+                d, f, "k2", {"component": 0, "segment": 0, "u": F(1, 2), "variant": variant}
+            )
+        except InvalidInput:
+            pass
+        assert_formula_matches(d, f)
+    # criterion 7: fronts among up to two wiggled pairs
+    for _ in range(40):
+        d = random_identity_diagram(rng, max_pairs=2)
+        assert_formula_matches(d, random_almond_front(rng, d))
+
+
+def test_formula_matches_resolution_on_lambda_walks():
+    from morsebook.front import null_trace_crossings, validate_front
+    from morsebook.resolution import _multiplicities
+
+    rng = random.Random(6)
+    d = fig1_torus()
+    f = fig5_lambda()
+    lifted = FrontProjection(
+        [
+            FrontComponent(c.torus, [v.shifted(0, F(1, 64)) for v in c.vertices], c.closure)
+            for c in f.components
+        ]
+    )
+    auxes = (FrontProjection([almond(F(25, 64), F(3, 200), F(1, 32), F(1, 100))]), lifted)
+    checked = 0
+    for f in move_walk(rng, d, f, 24):
+        assert_formula_matches(d, f)
+        # unions with an auxiliary link, as rot --aux builds them
+        for aux in auxes:
+            union = f.union(aux)
+            if not validate_front(d, union).ok:
+                continue
+            try:
+                null_trace_crossings(d, union)
+                _multiplicities(d, union)
+            except InvalidInput:
+                continue  # rot refuses this union before L0.H
+            assert_formula_matches(d, union)
+            checked += 1
+    assert checked >= 5
+
+
+def test_rot_never_builds_the_resolution(monkeypatch):
+    import morsebook.resolution as resolution
+    from morsebook.invariants import rot_front
+
+    d, f = fig1_torus(), fig5_lambda()
+    want = rot_front(d, f).as_dict()
+
+    def refuse(*args):
+        raise AssertionError("rot built the total resolution")
+
+    monkeypatch.setattr(resolution, "_total_resolution", refuse)
+    with pytest.raises(AssertionError, match="total resolution"):
+        total_resolution(d, f)
+    assert rot_front(d, f).as_dict() == want

@@ -12,6 +12,8 @@ from morsebook.diagram import (
     Teleport,
     TraceCurve,
     TracePair,
+    _is_contact,
+    _teleport_contacts,
     h1_presentation,
     propagate_labels,
     reduce_class,
@@ -19,6 +21,7 @@ from morsebook.diagram import (
     vertical_line_class_sum,
 )
 from morsebook.fixtures import disk_s3, fig1_torus, fig6_annulus
+from morsebook.geometry import DegenerateGeometry, segment_meet_torus
 
 
 def test_disk_is_valid():
@@ -191,9 +194,6 @@ def test_vertical_line_class_sum_on_fig1():
 
 def _oracle_disjointness(d):
     """The all-pairs Fraction loop of the trace-curve disjointness check."""
-    from morsebook.diagram import _is_contact, _teleport_contacts
-    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
-
     out = []
     contacts = _teleport_contacts(d)
     curves = list(d.curves())

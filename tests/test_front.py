@@ -1,10 +1,19 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
-from conftest import almond
+from conftest import (
+    almond,
+    move_walk,
+    random_almond_front,
+    random_annulus_diagram,
+    random_identity_diagram,
+    random_move_sites,
+)
 
-from morsebook.diagram import PLUS
+from morsebook.diagram import PLUS, curve_orientation
 from morsebook.fixtures import (
     disk_s3,
     disk_s3_unknot,
@@ -18,13 +27,19 @@ from morsebook.front import (
     FrontComponent,
     FrontProjection,
     Vertex,
+    _adjacent_segments,
+    _front_trace_pairs,
+    _make_crossing,
     crossings,
+    crossings_raw,
     cusp_counts,
     cylinder_class,
     front_class,
     lk_binding,
+    trace_crossings,
     validate_front,
 )
+from morsebook.geometry import DegenerateGeometry, det, segment_meet_torus, sub, torus_meets
 from morsebook.validation import InvalidInput
 
 
@@ -238,9 +253,6 @@ def test_orientation_reversal_negates_classes_and_swaps_cusps():
 
 def _oracle_crossings_raw(f):
     """The all-pairs Fraction loop of crossings_raw, for reference."""
-    from morsebook.front import _adjacent_segments, _make_crossing
-    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
-
     segs = list(f.all_segments())
     out = []
     for a_idx in range(len(segs)):
@@ -262,30 +274,30 @@ def _oracle_crossings_raw(f):
     return out
 
 
+def _oracle_pair(a1, b1, a2, b2):
+    """segment_meet_torus on one pair as (hits, first degenerate message)."""
+    try:
+        segment_meet_torus(a1, b1, a2, b2)
+        error = None
+    except DegenerateGeometry as e:
+        error = str(e)
+    return segment_meet_torus(a1, b1, a2, b2, skip_degenerate=True), error
+
+
 def _oracle_front_trace_pairs(d, f):
     """Each front segment with each trace segment on its torus, tested
     translate by translate: the pairs with a meet or a contact."""
-    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
-
     for ci, i, torus, a, b in f.all_segments():
         for pi, side, curve in d.curves():
             if curve.torus != torus:
                 continue
             for _, q1, q2 in curve.segments():
-                try:
-                    segment_meet_torus(a, b, q1, q2)
-                    error = None
-                except DegenerateGeometry as e:
-                    error = str(e)
-                hits = segment_meet_torus(a, b, q1, q2, skip_degenerate=True)
+                hits, error = _oracle_pair(a, b, q1, q2)
                 if hits or error:
                     yield (ci, i, torus, a, b, pi, side, q1, q2, hits, error)
 
 
 def _oracle_trace_crossings(d, f):
-    from morsebook.diagram import curve_orientation
-    from morsebook.geometry import det, sub
-
     out = []
     for _, _, _, a, b, pi, side, q1, q2, hits, _ in _oracle_front_trace_pairs(d, f):
         for s, u, point in hits:
@@ -296,8 +308,6 @@ def _oracle_trace_crossings(d, f):
 
 def _outcome(fn, *args):
     """A crossing list as plain tuples, or the message it raised with."""
-    from morsebook.geometry import DegenerateGeometry
-
     try:
         found = fn(*args)
     except DegenerateGeometry as e:
@@ -306,23 +316,12 @@ def _outcome(fn, *args):
 
 
 def assert_kernel_matches(d, f):
-    from morsebook.front import _front_trace_pairs, crossings_raw, trace_crossings
-
     assert _outcome(crossings_raw, f) == _outcome(_oracle_crossings_raw, f)
     assert list(_front_trace_pairs(d, f)) == list(_oracle_front_trace_pairs(d, f))
     assert trace_crossings(d, f) == _oracle_trace_crossings(d, f)
 
 
 def test_kernel_matches_all_pairs_on_generated_fronts():
-    import random
-
-    from conftest import (
-        random_almond_front,
-        random_annulus_diagram,
-        random_identity_diagram,
-        random_move_sites,
-    )
-
     rng = random.Random(808)
     for _ in range(60):
         d = random_identity_diagram(rng)
@@ -337,10 +336,6 @@ def test_kernel_matches_all_pairs_on_generated_fronts():
 
 
 def test_kernel_matches_all_pairs_on_move_walks():
-    import random
-
-    from conftest import move_walk
-
     rng = random.Random(809)
     for d, f in ((disk_s3(), disk_s3_unknot()), (fig1_torus(), fig5_lambda())):
         for g in move_walk(rng, d, f, 24):
@@ -349,18 +344,6 @@ def test_kernel_matches_all_pairs_on_move_walks():
         # a front laid over itself overlaps collinearly: both raise alike
         assert _outcome(_oracle_crossings_raw, g.union(g))[0] == "raised"
         assert_kernel_matches(d, g.union(g))
-
-
-def _oracle_pair(a1, b1, a2, b2):
-    """segment_meet_torus on one pair as (hits, first degenerate message)."""
-    from morsebook.geometry import DegenerateGeometry, segment_meet_torus
-
-    try:
-        segment_meet_torus(a1, b1, a2, b2)
-        error = None
-    except DegenerateGeometry as e:
-        error = str(e)
-    return segment_meet_torus(a1, b1, a2, b2, skip_degenerate=True), error
 
 
 SEAM_CASES = {
@@ -379,8 +362,6 @@ SEAM_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SEAM_CASES))
 def test_kernel_matches_all_pairs_across_the_seams(name):
-    from morsebook.geometry import torus_meets
-
     a1, b1, a2, b2, count = SEAM_CASES[name]
     hits, error = _oracle_pair(a1, b1, a2, b2)
     assert len(hits) == count

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import almond, move_walk, random_almond_front, random_identity_diagram
+from conftest import (
+    almond,
+    move_walk,
+    random_almond_front,
+    random_identity_diagram,
+    random_move_sites,
+)
 
 from morsebook.diagram import MINUS, PLUS, MorseDiagram, TraceCurve, TracePair
 from morsebook.fixtures import (
@@ -15,9 +21,22 @@ from morsebook.fixtures import (
     fig5_lambda,
     fig5_lambda_prime,
 )
-from morsebook.front import ENTER, EXIT, TELEPORT, FrontComponent, FrontProjection, Vertex
+from morsebook.front import (
+    ENTER,
+    EXIT,
+    TELEPORT,
+    FrontComponent,
+    FrontProjection,
+    Vertex,
+    null_trace_crossings,
+    validate_front,
+)
+from morsebook.invariants import rot_front
 from morsebook.moves import apply_move
 from morsebook.resolution import (
+    _horizontal_sum,
+    _multiplicities,
+    _total_resolution,
     intersect_L0,
     intersect_L0_local,
     intersect_L1,
@@ -341,15 +360,11 @@ def union_find_circles(res):
 # L0.H read off the multiplicities against the total resolution
 
 def assert_formula_matches(d, f):
-    from morsebook.resolution import _horizontal_sum, _multiplicities, _total_resolution
-
     m = _multiplicities(d, f)
     assert _horizontal_sum(d, f, m) == _total_resolution(d, f, m).horizontal_sum()
 
 
 def test_formula_matches_resolution_on_acceptance_generators():
-    from conftest import random_move_sites
-
     rng = random.Random(5)
     # criterion 5: the moves it runs rot on (b1 leaves the cylinder)
     for move in ("r1", "cusp_trace", "s1", "k2", "k3"):
@@ -375,9 +390,6 @@ def test_formula_matches_resolution_on_acceptance_generators():
 
 
 def test_formula_matches_resolution_on_lambda_walks():
-    from morsebook.front import null_trace_crossings, validate_front
-    from morsebook.resolution import _multiplicities
-
     rng = random.Random(6)
     d = fig1_torus()
     f = fig5_lambda()
@@ -408,8 +420,6 @@ def test_formula_matches_resolution_on_lambda_walks():
 
 def test_rot_never_builds_the_resolution(monkeypatch):
     import morsebook.resolution as resolution
-    from morsebook.invariants import rot_front
-
     d, f = fig1_torus(), fig5_lambda()
     want = rot_front(d, f).as_dict()
 

@@ -2,8 +2,10 @@
 
 Subcommands: check, homology, euler, rot, tb, rot-lagr, resolve,
 render, moves, fixtures.  Exit codes: 0 success, 1 validation or
-computation error on well-formed input, 2 usage or parse error.
-Reports carry the format version and the input file's hash.
+computation error on well-formed input, 2 usage or parse error.  A
+failed internal check (an ``AssertionError`` or a ``DegenerateGeometry``
+that the library lets escape) prints ``internal error: <msg>`` and
+exits 1.  Reports carry the format version and the input file's hash.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .fileio import (
     Workspace,
 )
 from .front import validate_front
+from .geometry import DegenerateGeometry
 from .invariants import euler_class, rot_front
 from .lagrangian import rot_lagrangian, tb_writhe, validate_lagrangian
 from .moves import apply_script
@@ -293,6 +296,9 @@ def main(argv=None):
     except OSError as e:
         print("io error: %s" % (e,), file=sys.stderr)
         return 2
+    except (AssertionError, DegenerateGeometry) as e:
+        print("internal error: %s" % (e,), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -230,6 +230,8 @@ def validate_front(d, f):
                 continue  # zero-length segment already reported
             if v.kind == CUSP and side_in != side_out:
                 report.add(loc, "cusp vertex %d does not reverse x-direction" % i)
+            elif v.kind == CUSP and prev_pt[0] == v.point[0] == next_pt[0]:
+                report.add(loc, "cusp vertex %d between two vertical segments" % i)
             if v.kind == PLAIN and side_in == side_out:
                 report.add(loc, "plain vertex %d reverses x-direction" % i)
 

@@ -13,13 +13,12 @@ All computations are exact: turning and winding numbers come from
 signed ray crossings, and the direct field-relative rotation uses
 Sturm chains on rational polynomials.
 
-The crossing list works in an integer frame: every vertex is scaled
-by the least common multiple of all vertex denominators, which keeps
-every orientation and parameter test of the Fraction coordinates and
-makes each one an integer determinant.  A sweep over the segments'
-boxes picks the pairs worth testing, and crossing points go back to
-the input coordinates as Fractions.  Validation finds the list once
-and ``tb_writhe`` reads the writhe off the same list.
+Every public function validates once at entry and then calls
+private bodies that trust their input; ``tb_writhe`` reads the writhe
+off the crossing list that validation found.  Segment meets are
+geometry's: the crossing list tests the pairs whose boxes meet with
+integer determinants over the vertices' common denominator, and band
+passes use ``segment_meet``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import box_overlaps, det, sub
+from .geometry import DegenerateGeometry, _meet_int, _scaled, box_overlaps, det, segment_meet, sub
 from .validation import InvalidInput, ValidationReport
 
 
@@ -49,12 +48,6 @@ class Band:
         xs = sum(c[0] for c in self.corners)
         ys = sum(c[1] for c in self.corners)
         return (xs / 4, ys / 4)
-
-    @property
-    def core(self):
-        a = _midpoint(self.corners[0], self.corners[1])
-        b = _midpoint(self.corners[2], self.corners[3])
-        return (a, b)
 
     @property
     def transverse_arc(self):
@@ -165,65 +158,43 @@ def diagram_crossings(c):
             if (s1 - s2) % n in (0, 1) or (s2 - s1) % n in (0, 1):
                 continue
         a1, b1 = ints[i]
-        a2, b2 = ints[j]
-        d1 = sub(b1, a1)
-        d2 = sub(b2, a2)
-        denom = det(d1, d2)
-        w = sub(a2, a1)
-        if denom == 0:
-            if det(w, d1) == 0 and _collinear_overlap(a1, b1, a2, b2):
-                raise InvalidInput("collinear overlapping segments")
-            continue
-        # s = s_num / denom and u = u_num / denom, with denom made positive
-        s_num, u_num = det(w, d2), det(w, d1)
-        if denom < 0:
-            denom, s_num, u_num = -denom, -s_num, -u_num
-        if 0 < s_num < denom and 0 < u_num < denom:
+        try:
+            meet = _meet_int(a1, b1, *ints[j])
+        except DegenerateGeometry as e:
+            if str(e) == "endpoint contact":
+                raise InvalidInput("segments touch at an endpoint; perturb input") from None
+            raise InvalidInput("collinear overlapping segments") from None
+        if meet is not None:
+            s_num, _, denom = meet
             scaled = scale * denom
             pt = (
-                Fraction(a1[0] * denom + s_num * d1[0], scaled),
-                Fraction(a1[1] * denom + s_num * d1[1], scaled),
+                Fraction(a1[0] * denom + s_num * (b1[0] - a1[0]), scaled),
+                Fraction(a1[1] * denom + s_num * (b1[1] - a1[1]), scaled),
             )
             out.append(((ci1, s1), (ci2, s2), pt))
-        elif (s_num in (0, denom) and 0 <= u_num <= denom) or (
-            u_num in (0, denom) and 0 <= s_num <= denom
-        ):
-            raise InvalidInput("segments touch at an endpoint; perturb input")
     return out
 
 
-def _scaled(p, scale):
-    """The point ``p`` times ``scale``, a common multiple of its denominators."""
-    x, y = p
-    return (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-
-
-def _collinear_overlap(a1, b1, a2, b2):
-    axis = 0 if a1[0] != b1[0] else 1
-    lo1, hi1 = sorted((a1[axis], b1[axis]))
-    lo2, hi2 = sorted((a2[axis], b2[axis]))
-    return max(lo1, lo2) <= min(hi1, hi2)
-
-
 def band_pass_counts(p, c):
-    """Signed traversals of each band: crossings with its transverse arc."""
+    """Signed traversals of each band: crossings with its transverse arc.
+
+    A segment parallel to the arc, or along it, does not pass.
+    """
     out = []
     for band in p.bands:
         a, b = band.transverse_arc
         total = 0
         d2 = sub(b, a)
         for _, _, q1, q2 in c.segments():
-            d1 = sub(q2, q1)
-            denom = det(d1, d2)
-            if denom == 0:
+            sign = det(sub(q2, q1), d2)
+            if sign == 0:
                 continue
-            w = sub(a, q1)
-            s = Fraction(det(w, d2), denom)
-            u = Fraction(det(w, d1), denom)
-            if 0 < s < 1 and 0 < u < 1:
-                total += 1 if det(d1, d2) > 0 else -1
-            elif (s in (0, 1) and 0 <= u <= 1) or (u in (0, 1) and 0 <= s <= 1):
-                raise InvalidInput("curve touches a band core endpoint; perturb")
+            try:
+                meet = segment_meet(q1, q2, a, b)
+            except DegenerateGeometry:
+                raise InvalidInput("curve touches a band core endpoint; perturb") from None
+            if meet is not None:
+                total += 1 if sign > 0 else -1
         out.append(total)
     return out
 
@@ -231,6 +202,13 @@ def band_pass_counts(p, c):
 def validate_lagrangian(p, c):
     """Check the diagram against the page and its own transversality."""
     return _validate(p, c)[0]
+
+
+def _checked(p, c):
+    """Validate at entry: the crossing list, or InvalidInput."""
+    report, found = _validate(p, c)
+    report.raise_if_invalid("lagrangian diagram")
+    return found
 
 
 def _validate(p, c):
@@ -312,13 +290,9 @@ def require_null_homologous(p, c):
         )
 
 
-def tb_writhe(p, c, validate=True):
-    """Thurston-Bennequin number: the writhe of the projection."""
-    if validate:
-        report, found = _validate(p, c)
-        report.raise_if_invalid("lagrangian diagram")
-    else:
-        found = diagram_crossings(c)
+def tb_writhe(p, c):
+    """Thurston-Bennequin number: the writhe; validates once at entry."""
+    found = _checked(p, c)
     require_null_homologous(p, c)
     table = {
         frozenset([tuple(e["over"]), tuple(e["under"])]): (
@@ -366,21 +340,29 @@ _FALLBACK_RAYS = [
 ]
 
 
-def turning_number(p, c, validate=True):
-    """Whitney index of the tangent direction, summed over components."""
-    if validate:
-        validate_lagrangian(p, c).raise_if_invalid("lagrangian diagram")
+def _first_ray(count, message):
+    """count(rho) on the first fallback ray where it is not None."""
+    for rho in _FALLBACK_RAYS:
+        val = count(rho)
+        if val is not None:
+            return val
+    raise InvalidInput(message)
+
+
+def turning_number(p, c):
+    """Whitney index of the tangent, summed over components; validates once at entry."""
+    _checked(p, c)
+    return _turning(c)
+
+
+def _turning(c):
     total = 0
     for comp in c.components:
         dirs = _edge_dirs(comp)
-        rho = None
-        for cand in _FALLBACK_RAYS:
-            if _ray_ok_for_dirs(cand, dirs):
-                rho = cand
-                break
-        if rho is None:
-            raise InvalidInput("could not select a reference direction")
-        total += _direction_winding(dirs, rho)
+        total += _first_ray(
+            lambda rho: _direction_winding(dirs, rho) if _ray_ok_for_dirs(rho, dirs) else None,
+            "could not select a reference direction",
+        )
     return total
 
 
@@ -402,20 +384,21 @@ def _direction_winding(dirs, rho):
     return total
 
 
-def winding_numbers(p, c, validate=True):
-    """Winding of the curve around each marked point, exactly."""
-    if validate:
-        validate_lagrangian(p, c).raise_if_invalid("lagrangian diagram")
+def winding_numbers(p, c):
+    """Winding of the curve around each marked point; validates once at entry."""
+    _checked(p, c)
+    return _windings(p, c)
+
+
+def _windings(p, c):
     require_null_homologous(p, c)
-    return [_winding_around(c, m) for m in p.marked_points]
-
-
-def _winding_around(c, m):
-    for rho in _FALLBACK_RAYS:
-        val = _try_ray(c, m, rho)
-        if val is not None:
-            return val
-    raise InvalidInput("no admissible ray around %r; perturb input" % (m,))
+    return [
+        _first_ray(
+            lambda rho: _try_ray(c, m, rho),
+            "no admissible ray around %r; perturb input" % (m,),
+        )
+        for m in p.marked_points
+    ]
 
 
 def _try_ray(c, m, rho):
@@ -613,36 +596,34 @@ def morse_field_components(p):
     return along
 
 
-def field_relative_turning(p, c, validate=True):
+def field_relative_turning(p, c):
     """Rotation of the tangent against the Morse field, directly.
 
     Computed as turning(tangent) minus the exact winding of the field
     direction along the curve, the latter by Sturm-counted crossings of
-    a reference direction.
+    a reference direction.  Validates once at entry.
     """
-    if validate:
-        validate_lagrangian(p, c).raise_if_invalid("lagrangian diagram")
+    _checked(p, c)
+    return _turning(c) - _field_windings(p, c)
+
+
+def _field_windings(p, c):
+    """Winding of the Morse field's direction along the curve."""
     along = morse_field_components(p)
-    total = turning_number(p, c, validate=False)
-    for comp in c.components:
-        total -= _field_winding(comp, along)
-    return total
+    return sum(_field_winding(comp, along) for comp in c.components)
 
 
 def _field_winding(comp, along):
     n = len(comp)
     edges = [(comp[i], comp[(i + 1) % n]) for i in range(n)]
-    for rho in _FALLBACK_RAYS:
-        val = _field_winding_ray(edges, along, rho)
-        if val is not None:
-            return val
-    raise InvalidInput("no admissible reference direction for the field winding")
+    return _first_ray(
+        lambda rho: _field_winding_ray(edges, along, rho),
+        "no admissible reference direction for the field winding",
+    )
 
 
 def _field_winding_ray(edges, along, rho):
     total = 0
-    last_sign = None
-    first_sign = None
     for a, b in edges:
         re, im = along(a, b)
         # det(rho, V(s)) and dot(rho, V(s))
@@ -702,14 +683,15 @@ def rot_lagrangian(p, c):
     rot equals the turning number in the constant trivialization; the
     surface term is winding(c0) minus the saddle windings, and the
     field-relative rotation is cross-checked against an independent
-    direct computation along the curve.
+    direct computation along the curve.  Validates once at entry and
+    counts the turning once.
     """
-    validate_lagrangian(p, c).raise_if_invalid("lagrangian diagram")
-    w = winding_numbers(p, c, validate=False)
-    rot = turning_number(p, c, validate=False)
+    _checked(p, c)
+    w = _windings(p, c)
+    rot = _turning(c)
     surface = w[0] - sum(w[1:])
     rot_v0 = rot - surface
-    direct = field_relative_turning(p, c, validate=False)
+    direct = rot - _field_windings(p, c)
     if direct != rot_v0:
         raise AssertionError(
             "field-relative rotation mismatch: direct %d vs decomposition %d"

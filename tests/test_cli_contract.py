@@ -2,6 +2,7 @@
 
 Every run of ``main`` ends in exit code 0, 1 or 2 with at most a
 one-line message: no exception escapes, whatever the input file holds.
+A failed internal check ends in exit code 1 and ``internal error: ...``.
 The workspaces are the bundled fixtures with one or two seeded edits:
 a rational nudged, a field or list item deleted or duplicated, or a
 value replaced by one of another type.  Replacement values stay small;
@@ -19,6 +20,7 @@ import json
 import random
 from fractions import Fraction
 
+from morsebook import cli
 from morsebook.cli import main
 from morsebook.fileio import MOVES_FORMAT
 
@@ -26,7 +28,7 @@ SEED = 1
 WORKSPACES = 100
 LAGR_WORKSPACES = 150
 SCRIPTS = 60
-COMMANDS = ("check", "homology", "euler", "rot", "resolve")
+COMMANDS = ("check", "homology", "euler", "rot", "resolve", "render")
 REPLACEMENTS = (
     0, 1, -1, 2, 7, True, None, [], {}, "0", "1/2", "-1/3", "1/0", "x",
     "plus", "minus", "cusp", "teleport", "exit", "enter", ["teleport", 1, "plus", "exit"],
@@ -107,8 +109,10 @@ def test_mutated_workspaces_keep_the_exit_code_contract(tmp_path):
         front = min(fronts) if isinstance(fronts, dict) and fronts else "lambda"
         for command in COMMANDS:
             argv = [command, str(target)]
-            if command in ("rot", "resolve"):
+            if command in ("rot", "resolve", "render"):
                 argv += ["--front", front]
+            if command == "render":
+                argv += ["--overlay", "resolution", "-o", str(tmp_path / "render.svg")]
             _run(argv, codes, (i, name))
     # every exit code shows up, so the edits reach past the parser
     assert set(codes) == {0, 1, 2}, codes
@@ -174,3 +178,31 @@ def test_page_listing_one_band_twice_keeps_the_contract(tmp_path):
             codes = {}
             _run(argv, codes, bands)
             assert codes == {want: 1}, (argv, bands)
+
+
+def test_a_failed_internal_check_is_one_line_and_exit_1(tmp_path, monkeypatch):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+
+    def failing(*args):
+        raise AssertionError("resolution curve with |x-winding| >= 2")
+
+    monkeypatch.setattr(cli, "total_resolution", failing)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["resolve", str(tmp_path / "disk_s3.json"), "--front", "unknot"])
+    assert code == 1
+    assert err.getvalue() == "internal error: resolution curve with |x-winding| >= 2\n"
+
+
+def test_cusp_between_two_vertical_segments_is_refused(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "fig5.json").read_text())
+    doc["fronts"]["lambda"]["components"][0]["vertices"][4][1] = "1/8"
+    target = tmp_path / "vertical-cusp.json"
+    target.write_text(json.dumps(doc))
+    for argv in (["check", str(target)], ["rot", str(target), "--front", "lambda"]):
+        codes = {}
+        _run(argv, codes, argv[0])
+        assert codes == {1: 1}, argv

@@ -71,6 +71,15 @@ def test_fig5_fronts_are_valid():
     assert validate_front(d, fig5_lambda_prime()).ok
 
 
+def test_cusp_between_two_vertical_segments_is_reported():
+    # lambda's cusp vertex 4 moved onto the x of both teleport neighbours:
+    # the cusp's direction is undefined, so validation refuses the front
+    f = fig5_lambda()
+    f.components[0].vertices[4].x = F(1, 8)
+    issues = list(validate_front(fig1_torus(), f))
+    assert issues == [("component 0", "cusp vertex 4 between two vertical segments")]
+
+
 def test_diamond_cusp_counts():
     assert cusp_counts(diamond()) == (1, 1)
 

@@ -6,13 +6,13 @@ import pytest
 
 from conftest import band_tongue, random_lagrangian, random_page
 
+from morsebook import lagrangian
 from morsebook.fixtures import disk_s3_lagr
 from morsebook.geometry import box_overlaps, det, sub
 from morsebook.lagrangian import (
     Band,
     LagrangianDiagram,
     PageModel,
-    _collinear_overlap,
     band_pass_counts,
     diagram_crossings,
     field_relative_turning,
@@ -227,6 +227,13 @@ def _all_pairs_crossings(c):
     return out
 
 
+def _collinear_overlap(a1, b1, a2, b2):
+    axis = 0 if a1[0] != b1[0] else 1
+    lo1, hi1 = sorted((a1[axis], b1[axis]))
+    lo2, hi2 = sorted((a2[axis], b2[axis]))
+    return max(lo1, lo2) <= min(hi1, hi2)
+
+
 def _outcome(kernel, c):
     try:
         return kernel(c)
@@ -329,3 +336,55 @@ def test_page_listing_one_band_twice_is_invalid():
             compute(page, c)
     # one copy of the band is a valid page for the same curve
     assert validate_lagrangian(PageModel((0, 0), 10, [Band(band)]), c).ok
+
+
+ONE_BAND = PageModel((0, 0), 10, [Band([(5, F(1, 2)), (5, -F(1, 2)), (8, -F(1, 2)), (8, F(1, 2))])])
+
+
+def test_band_pass_counts_on_the_transverse_arc():
+    # the arc runs from (13/2, -1/2) to (13/2, 1/2)
+    assert ONE_BAND.bands[0].transverse_arc == ((F(13, 2), -F(1, 2)), (F(13, 2), F(1, 2)))
+    # a segment along the arc, past both ends, does not pass the band
+    along = LagrangianDiagram([[(F(13, 2), -1), (F(13, 2), 1), (9, 1), (9, -1)]])
+    assert band_pass_counts(ONE_BAND, along) == [0]
+    # a segment through the arc's endpoint (13/2, 1/2) touches it
+    touch = LagrangianDiagram([[(6, F(1, 2)), (7, F(1, 2)), (7, 3), (6, 3)]])
+    with pytest.raises(InvalidInput) as err:
+        band_pass_counts(ONE_BAND, touch)
+    assert str(err.value) == "curve touches a band core endpoint; perturb"
+
+
+def _counting(monkeypatch, name):
+    """Replace lagrangian.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(lagrangian, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(lagrangian, name, wrapper)
+    return calls
+
+
+def test_rot_lagrangian_validates_and_turns_once(monkeypatch):
+    page, diag = disk_s3_lagr()
+    counted = {
+        name: _counting(monkeypatch, name)
+        for name in ("_validate", "diagram_crossings", "_turning", "_direction_winding")
+    }
+    assert rot_lagrangian(page, diag).rot == 0
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "_validate": 1,
+        "diagram_crossings": 1,
+        "_turning": 1,
+        "_direction_winding": len(diag.components),
+    }
+
+
+@pytest.mark.parametrize("compute", [turning_number, winding_numbers, field_relative_turning])
+def test_public_functions_reject_an_invalid_diagram(compute):
+    # every vertex lies outside a page of radius 1
+    page = PageModel((0, 0), 1)
+    with pytest.raises(InvalidInput, match="lagrangian diagram invalid: vertex 0 outside the page"):
+        compute(page, small_circle())

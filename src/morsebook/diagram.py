@@ -476,7 +476,8 @@ def h1_presentation(d, labeled=None):
 
     Relations: for each pair, its top label minus its generator (the
     monodromy closure of the dual core class), plus all pairwise
-    differences of edge label changes between binding components.
+    differences of the distinct edge label changes, in the order of
+    their first binding component.
     """
     if labeled is None:
         labeled = propagate_labels(d)
@@ -486,7 +487,7 @@ def h1_presentation(d, labeled=None):
         top = labeled.top_label(j)
         rel = top.minus(LabelVector.unit(k, j))
         relations.append(rel.coeffs)
-    diffs = labeled.edge_diffs
+    diffs = list(dict.fromkeys(labeled.edge_diffs))
     for i in range(len(diffs)):
         for j in range(i + 1, len(diffs)):
             relations.append(diffs[i].minus(diffs[j]).coeffs)

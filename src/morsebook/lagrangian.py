@@ -11,14 +11,16 @@ source and -1 at each band saddle.
 
 All computations are exact: turning and winding numbers come from
 signed ray crossings, and the direct field-relative rotation uses
-Sturm chains on rational polynomials.
+Sturm chains on integer polynomials.
 
 Every public function validates once at entry and then calls
 private bodies that trust their input; ``tb_writhe`` reads the writhe
-off the crossing list that validation found.  Segment meets are
-geometry's: the crossing list tests the pairs whose boxes meet with
-integer determinants over the vertices' common denominator, and band
-passes use ``segment_meet``.
+off the crossing list that validation found.  The crossing list, the
+marked-point check, the band passes, the winding rays and the field
+winding work on integers: the points scaled once over their common
+denominator, the fallback rays as primitive integer pairs.  Segment
+meets are geometry's ``_meet_int``; the crossing list tests only the
+pairs whose boxes meet.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .geometry import DegenerateGeometry, _meet_int, _scaled, box_overlaps, det, segment_meet, sub
+from .geometry import DegenerateGeometry, _meet_int, _scaled, box_overlaps, det, sub
 from .validation import InvalidInput, ValidationReport
 
 
@@ -180,23 +182,50 @@ def band_pass_counts(p, c):
 
     A segment parallel to the arc, or along it, does not pass.
     """
+    edges, _, arcs, _ = _frame(p, c)
+    segs = [e for comp in edges for e in comp]
     out = []
-    for band in p.bands:
-        a, b = band.transverse_arc
+    for a, b in arcs:
         total = 0
         d2 = sub(b, a)
-        for _, _, q1, q2 in c.segments():
+        for q1, q2 in segs:
             sign = det(sub(q2, q1), d2)
             if sign == 0:
                 continue
             try:
-                meet = segment_meet(q1, q2, a, b)
+                meet = _meet_int(q1, q2, a, b)
             except DegenerateGeometry:
                 raise InvalidInput("curve touches a band core endpoint; perturb") from None
             if meet is not None:
                 total += 1 if sign > 0 else -1
         out.append(total)
     return out
+
+
+def _frame(p, c):
+    """The curve and the page's points as integers over their common denominator.
+
+    Returns the edges (a, b) of each component, the marked points, the
+    band arcs and the band corners, all scaled by one positive factor,
+    so every sign and parameter test below decides as on the Fractions.
+    """
+    arcs = [b.transverse_arc for b in p.bands]
+    corners = [q for b in p.bands for q in b.corners]
+    marked = p.marked_points
+    pts = [v for comp in c.components for v in comp] + marked + [q for arc in arcs for q in arc]
+    scale = math.lcm(*(q.denominator for pt in pts + corners for q in pt))
+    edges = [_edges([_scaled(v, scale) for v in comp]) for comp in c.components]
+    return (
+        edges,
+        [_scaled(m, scale) for m in marked],
+        [(_scaled(a, scale), _scaled(b, scale)) for a, b in arcs],
+        [_scaled(q, scale) for q in corners],
+    )
+
+
+def _edges(comp):
+    n = len(comp)
+    return [(comp[i], comp[(i + 1) % n]) for i in range(n)]
 
 
 def validate_lagrangian(p, c):
@@ -246,13 +275,12 @@ def _validate(p, c):
     if not report.ok:
         return report, None
 
-    marked = p.marked_points + [
-        corner for band in p.bands for corner in band.corners
-    ]
-    for _, i, a, b in c.segments():
-        for m in marked:
-            if _on_segment(a, b, m):
-                report.add("page", "curve passes through a marked or corner point")
+    edges, marked, _, corners = _frame(p, c)
+    for comp in edges:
+        for a, b in comp:
+            for m in marked + corners:
+                if _on_segment(a, b, m):
+                    report.add("page", "curve passes through a marked or corner point")
 
     try:
         found = diagram_crossings(c)
@@ -326,17 +354,11 @@ def _ray_ok_for_dirs(rho, dirs):
     return all(det(rho, d) != 0 for d in dirs)
 
 
-# deterministic fallback directions: simple ones first, then slopes
-# with a large prime denominator that miss structured rational data
-_FALLBACK_RAYS = [
-    (Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(-1)),
-    (Fraction(2), Fraction(1)),
-    (Fraction(1), Fraction(2)),
-    (Fraction(3), Fraction(1)),
-] + [
-    (Fraction(1), Fraction((-1) ** k * (2 * k + 1), 257)) for k in range(48)
+# deterministic fallback directions, as primitive integer pairs: simple
+# ones first, then slopes with a large prime denominator that miss
+# structured rational data
+_FALLBACK_RAYS = [(1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (3, 1)] + [
+    (257, (-1) ** k * (2 * k + 1)) for k in range(48)
 ]
 
 
@@ -392,18 +414,22 @@ def winding_numbers(p, c):
 
 def _windings(p, c):
     require_null_homologous(p, c)
+    edges, marked, _, _ = _frame(p, c)
+    segs = [e for comp in edges for e in comp]
     return [
         _first_ray(
-            lambda rho: _try_ray(c, m, rho),
-            "no admissible ray around %r; perturb input" % (m,),
+            lambda rho: _try_ray(segs, m, rho),
+            "no admissible ray around %r; perturb input" % (q,),
         )
-        for m in p.marked_points
+        for m, q in zip(marked, p.marked_points)
     ]
 
 
-def _try_ray(c, m, rho):
+def _try_ray(segs, m, rho):
+    """Signed crossings of the ray from m along rho; None when the ray
+    starts on the curve, meets a vertex or runs along a segment."""
     total = 0
-    for _, _, a, b in c.segments():
+    for a, b in segs:
         d = sub(b, a)
         denom = det(rho, d)
         w = sub(a, m)
@@ -411,120 +437,72 @@ def _try_ray(c, m, rho):
             if det(w, d) == 0:
                 return None  # segment collinear with the ray
             continue
-        # m + s*rho = a + u*d
-        s = Fraction(det(w, d), denom)
-        u = Fraction(det(w, rho), denom)
-        if u in (0, 1) and s >= 0:
+        # m + s*rho = a + u*d with s = s_num/denom and u = u_num/denom
+        sign = 1 if denom > 0 else -1
+        s_num, u_num, denom = sign * det(w, d), sign * det(w, rho), sign * denom
+        if u_num in (0, denom) and s_num >= 0:
             return None  # vertex on the ray: reselect
-        if s == 0:
+        if s_num == 0:
             return None
-        if s > 0 and 0 < u < 1:
-            total += 1 if det(rho, d) > 0 else -1
+        if s_num > 0 and 0 < u_num < denom:
+            total += sign
     return total
 
 
 # --- the Morse field: a source at the centre, a saddle per band -------
-
-
-class Poly:
-    """Dense rational-coefficient polynomials, lowest degree first."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        self.c = c
-
-    def __add__(self, o):
-        n = max(len(self.c), len(o.c))
-        return Poly(
-            [
-                (self.c[i] if i < len(self.c) else 0)
-                + (o.c[i] if i < len(o.c) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __sub__(self, o):
-        return self + o.scale(-1)
-
-    def scale(self, k):
-        return Poly([k * x for x in self.c])
-
-    def __mul__(self, o):
-        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(o.c):
-                out[i + j] += a * b
-        return Poly(out)
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for a in reversed(self.c):
-            acc = acc * x + a
-        return acc
-
-    def deriv(self):
-        if len(self.c) == 1:
-            return Poly([0])
-        return Poly([i * a for i, a in enumerate(self.c)][1:])
-
-    def degree(self):
-        return len(self.c) - 1
-
-    def is_zero(self):
-        return self.c == [0]
-
-
-def _poly_rem(a, b):
-    ra = list(a.c)
-    db = b.degree()
-    lead = b.c[-1]
-    while len(ra) - 1 >= db and any(x != 0 for x in ra):
-        da = len(ra) - 1
-        if ra[-1] == 0:
-            ra.pop()
-            continue
-        q = ra[-1] / lead
-        shift = da - db
-        for i in range(db + 1):
-            ra[shift + i] -= q * b.c[i]
-        ra.pop()
-    return Poly(ra if ra else [0])
+#
+# Polynomials are integer coefficient lists, lowest degree first.  Only
+# signs are read, so each is kept primitive, and a value at a rational
+# m/d is taken homogeneously, times d to the degree.
 
 
 def _primitive(p):
-    """Scale to primitive integer coefficients; signs are unchanged."""
-    if p.is_zero():
-        return p
-    denom = 1
-    for c in p.c:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.c]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return Poly(ints)
+    """p without leading zeros, divided by its content; signs are unchanged."""
+    n = len(p)
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    g = math.gcd(*p[:n])
+    return [x // g for x in p[:n]] if g > 1 else p[:n]
+
+
+def _at(p, x):
+    """p(x) times x's denominator to the degree of p: the sign of p(x)."""
+    m, d = x.numerator, x.denominator
+    acc, power = 0, 1
+    for coef in reversed(p):
+        acc = acc * m + coef * power
+        power *= d
+    return acc
 
 
 def _sturm_chain(p):
-    chain = [_primitive(p), _primitive(p.deriv())]
-    while not chain[-1].is_zero() and chain[-1].degree() > 0:
-        r = _poly_rem(chain[-2], chain[-1])
-        if r.is_zero():
+    """The Sturm chain of the primitive p, each member primitive.
+
+    Each remainder is the pseudo-remainder times |lc|^(delta+1) over its
+    lc^(delta+1), negated: a positive multiple of minus the remainder.
+    """
+    chain = [p, _primitive([i * x for i, x in enumerate(p)][1:] or [0])]
+    while any(chain[-1]) and len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lead, db = b[-1], len(b) - 1
+        r = list(a)
+        for _ in range(len(a) - db):
+            q = r.pop()
+            shift = len(r) - db
+            r = [lead * x for x in r]
+            for i in range(db):
+                r[shift + i] -= q * b[i]
+        if not any(r):
             break
-        chain.append(_primitive(r.scale(-1)))
+        sign = -1 if lead < 0 and (len(a) - db) % 2 else 1
+        chain.append(_primitive([-sign * x for x in r]))
     return chain
 
 
 def _sign_changes(chain, x):
     signs = []
     for p in chain:
-        v = p(x)
+        v = _at(p, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -537,7 +515,7 @@ def _roots_in_open_interval(p, lo, hi):
     a vanishing sign change or gcd considerations; the caller reselects
     its ray.
     """
-    if p(lo) == 0 or p(hi) == 0:
+    if _at(p, lo) == 0 or _at(p, hi) == 0:
         return None
     chain = _sturm_chain(p)
     count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
@@ -551,19 +529,19 @@ def _roots_in_open_interval(p, lo, hi):
         if guard > 10000:
             return None
         a, b, k = stack.pop()
-        if k == 1 and p(a) * p(b) < 0:
+        if k == 1 and _at(p, a) * _at(p, b) < 0:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if p(mid) == 0:
+        if _at(p, mid) == 0:
             # split just off the root; if the root is multiple the
             # counts will fail to settle and the guard trips
             mid += (b - a) / (2 ** 10)
-            if p(mid) == 0:
+            if _at(p, mid) == 0:
                 return None
         ka = _sign_changes(chain, a) - _sign_changes(chain, mid)
         kb = _sign_changes(chain, mid) - _sign_changes(chain, b)
-        if ka + kb != k or (k == 1 and p(a) * p(b) > 0):
+        if ka + kb != k or (k == 1 and _at(p, a) * _at(p, b) > 0):
             return None
         if ka:
             stack.append((a, mid, ka))
@@ -572,28 +550,26 @@ def _roots_in_open_interval(p, lo, hi):
     return sorted(out)
 
 
-def morse_field_components(p):
-    """The product field with a source at c0 and a saddle per band.
-
-    Returns a function mapping an edge (a, b) to the pair of
-    polynomials (X(s), Y(s)) of the field along it: (z - c0) times the
-    product of conj(z - c_j), exact in s.
-    """
-    c0 = p.source
-    saddles = [b.saddle for b in p.bands]
-
-    def along(a, b):
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        re = Poly([a[0] - c0[0], dx])
-        im = Poly([a[1] - c0[1], dy])
+def _edge_fields(edges, c0, saddles):
+    """The field (X(s), Y(s)) along each edge a + s(b - a): (z - c0)
+    times the product of conj(z - c_j), exact in s."""
+    out = []
+    for a, b in edges:
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        re, im = [a[0] - c0[0], dx], [a[1] - c0[1], dy]
         for s in saddles:
-            fre = Poly([a[0] - s[0], dx])
-            fim = Poly([-(a[1] - s[1]), -dy])  # conjugate factor
-            re, im = re * fre - im * fim, re * fim + im * fre
-        return re, im
+            fre, fim = (a[0] - s[0], dx), (s[1] - a[1], -dy)  # conjugate factor
+            re, im = (
+                [x - y for x, y in zip(_times(re, fre), _times(im, fim))],
+                [x + y for x, y in zip(_times(re, fim), _times(im, fre))],
+            )
+        out.append((re, im))
+    return out
 
-    return along
+
+def _times(p, u):
+    """p times the linear polynomial u[0] + u[1]*s."""
+    return [x * u[0] + y * u[1] for x, y in zip(p + [0], [0] + p)]
 
 
 def field_relative_turning(p, c):
@@ -609,43 +585,40 @@ def field_relative_turning(p, c):
 
 def _field_windings(p, c):
     """Winding of the Morse field's direction along the curve."""
-    along = morse_field_components(p)
-    return sum(_field_winding(comp, along) for comp in c.components)
-
-
-def _field_winding(comp, along):
-    n = len(comp)
-    edges = [(comp[i], comp[(i + 1) % n]) for i in range(n)]
-    return _first_ray(
-        lambda rho: _field_winding_ray(edges, along, rho),
-        "no admissible reference direction for the field winding",
-    )
-
-
-def _field_winding_ray(edges, along, rho):
+    edges, marked, _, _ = _frame(p, c)
     total = 0
-    for a, b in edges:
-        re, im = along(a, b)
+    for comp in edges:
+        fields = _edge_fields(comp, marked[0], marked[1:])
+        total += _first_ray(
+            lambda rho: _field_winding_ray(fields, rho),
+            "no admissible reference direction for the field winding",
+        )
+    return total
+
+
+def _field_winding_ray(fields, rho):
+    total = 0
+    zero, one = Fraction(0), Fraction(1)
+    for re, im in fields:
         # det(rho, V(s)) and dot(rho, V(s))
-        dpol = im.scale(rho[0]) - re.scale(rho[1])
-        qpol = re.scale(rho[0]) + im.scale(rho[1])
-        v0 = dpol(Fraction(0))
-        if v0 == 0:
+        dpol = _primitive([rho[0] * y - rho[1] * x for x, y in zip(re, im)])
+        qpol = [rho[0] * x + rho[1] * y for x, y in zip(re, im)]
+        if dpol[0] == 0:
             return None  # field aligned with rho at a vertex
-        roots = _roots_in_open_interval(dpol, Fraction(0), Fraction(1))
+        roots = _roots_in_open_interval(dpol, zero, one)
         if roots is None:
             return None
         for lo, hi in roots:
             # refine the isolating interval until the dot sign settles
             for _ in range(128):
-                q_lo, q_hi = qpol(lo), qpol(hi)
+                q_lo, q_hi = _at(qpol, lo), _at(qpol, hi)
                 if q_lo != 0 and q_hi != 0 and (q_lo > 0) == (q_hi > 0):
                     break
                 mid = (lo + hi) / 2
-                v_mid = dpol(mid)
+                v_mid = _at(dpol, mid)
                 if v_mid == 0:
                     return None  # crossing exactly at a binary point
-                if (dpol(lo) > 0) != (v_mid > 0):
+                if (_at(dpol, lo) > 0) != (v_mid > 0):
                     hi = mid
                 else:
                     lo = mid
@@ -653,8 +626,8 @@ def _field_winding_ray(edges, along, rho):
                 return None
             if q_lo < 0:
                 continue  # passes the opposite direction -rho
-            before = dpol(lo)
-            after = dpol(hi)
+            before = _at(dpol, lo)
+            after = _at(dpol, hi)
             total += 1 if (before < 0 and after > 0) else -1
     return total
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from matrices import mat_det, mat_mul
 
 from morsebook.abelian import AbelianGroup, smith_normal_form
@@ -83,3 +85,17 @@ def test_element_arithmetic():
     b = g.reduce([0, 5])
     assert (b - b).is_zero()
     assert (-b + b).is_zero()
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(1812)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        # sparse entries reach rank-deficient and zero matrices
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+        want = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+        diag, _, _ = smith_normal_form(m)
+        assert diag == [abs(want[i, i]) for i in range(min(rows, cols))], m

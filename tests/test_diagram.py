@@ -139,6 +139,15 @@ def test_fig6_h1_trivial_against_snf_oracle():
     assert h1_presentation(d).is_trivial()
 
 
+def test_h1_relations_do_not_grow_with_empty_binding_components():
+    # tori that no trace curve reaches add only zero edge differences,
+    # which the fixture's second torus already has
+    own = fig6_annulus()
+    many = MorseDiagram(20000, own.trace_pairs)
+    assert len(h1_presentation(own).relations) == 1
+    assert h1_presentation(many).relations == h1_presentation(own).relations
+
+
 def test_reduce_class_examples():
     g = h1_presentation(fig1_torus())
     assert reduce_class(g, [1, 0]).is_zero()

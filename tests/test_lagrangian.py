@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from conftest import band_tongue, random_lagrangian, random_page
 
 from morsebook import lagrangian
 from morsebook.fixtures import disk_s3_lagr
-from morsebook.geometry import box_overlaps, det, sub
+from morsebook.geometry import DegenerateGeometry, box_overlaps, det, segment_meet, sub
 from morsebook.lagrangian import (
     Band,
     LagrangianDiagram,
@@ -388,3 +389,311 @@ def test_public_functions_reject_an_invalid_diagram(compute):
     page = PageModel((0, 0), 1)
     with pytest.raises(InvalidInput, match="lagrangian diagram invalid: vertex 0 outside the page"):
         compute(page, small_circle())
+
+
+# --- the Fraction kernels that the integer frame replaced: the oracle -
+
+
+class Poly:
+    """Dense rational-coefficient polynomials, lowest degree first."""
+
+    def __init__(self, coeffs):
+        c = [F(x) for x in coeffs]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        self.c = c
+
+    def __add__(self, o):
+        n = max(len(self.c), len(o.c))
+        pad = lambda c: c + [0] * (n - len(c))  # noqa: E731
+        return Poly([a + b for a, b in zip(pad(self.c), pad(o.c))])
+
+    def __sub__(self, o):
+        return self + o.scale(-1)
+
+    def scale(self, k):
+        return Poly([k * x for x in self.c])
+
+    def __mul__(self, o):
+        out = [F(0)] * (len(self.c) + len(o.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(o.c):
+                out[i + j] += a * b
+        return Poly(out)
+
+    def __call__(self, x):
+        acc = F(0)
+        for a in reversed(self.c):
+            acc = acc * x + a
+        return acc
+
+    def deriv(self):
+        return Poly([i * a for i, a in enumerate(self.c)][1:] or [0])
+
+    def is_zero(self):
+        return self.c == [0]
+
+
+def _poly_rem(a, b):
+    ra = list(a.c)
+    db = len(b.c) - 1
+    while len(ra) - 1 >= db and any(x != 0 for x in ra):
+        if ra[-1] == 0:
+            ra.pop()
+            continue
+        q = ra[-1] / b.c[-1]
+        shift = len(ra) - 1 - db
+        for i in range(db + 1):
+            ra[shift + i] -= q * b.c[i]
+        ra.pop()
+    return Poly(ra or [0])
+
+
+def _primitive_fraction(p):
+    if p.is_zero():
+        return p
+    denom = math.lcm(*(c.denominator for c in p.c))
+    ints = [int(c * denom) for c in p.c]
+    g = math.gcd(*ints)
+    return Poly([x // g for x in ints])
+
+
+def _sturm_chain_fraction(p):
+    chain = [_primitive_fraction(p), _primitive_fraction(p.deriv())]
+    while not chain[-1].is_zero() and len(chain[-1].c) > 1:
+        r = _poly_rem(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        chain.append(_primitive_fraction(r.scale(-1)))
+    return chain
+
+
+def _sign_changes_fraction(chain, x):
+    signs = [1 if v > 0 else -1 for v in (p(x) for p in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _roots_fraction(p, lo, hi):
+    if p(lo) == 0 or p(hi) == 0:
+        return None
+    chain = _sturm_chain_fraction(p)
+    count = _sign_changes_fraction(chain, lo) - _sign_changes_fraction(chain, hi)
+    if count == 0:
+        return []
+    stack = [(lo, hi, count)]
+    out = []
+    guard = 0
+    while stack:
+        guard += 1
+        if guard > 10000:
+            return None
+        a, b, k = stack.pop()
+        if k == 1 and p(a) * p(b) < 0:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        if p(mid) == 0:
+            mid += (b - a) / (2 ** 10)
+            if p(mid) == 0:
+                return None
+        ka = _sign_changes_fraction(chain, a) - _sign_changes_fraction(chain, mid)
+        kb = _sign_changes_fraction(chain, mid) - _sign_changes_fraction(chain, b)
+        if ka + kb != k or (k == 1 and p(a) * p(b) > 0):
+            return None
+        if ka:
+            stack.append((a, mid, ka))
+        if kb:
+            stack.append((mid, b, kb))
+    return sorted(out)
+
+
+def _along_fraction(p):
+    """The field polynomials along an edge, rebuilt on every call."""
+    c0 = p.source
+    saddles = [b.saddle for b in p.bands]
+
+    def along(a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        re = Poly([a[0] - c0[0], dx])
+        im = Poly([a[1] - c0[1], dy])
+        for s in saddles:
+            fre = Poly([a[0] - s[0], dx])
+            fim = Poly([-(a[1] - s[1]), -dy])
+            re, im = re * fre - im * fim, re * fim + im * fre
+        return re, im
+
+    return along
+
+
+def _dpol_fraction(along, a, b, rho):
+    re, im = along(a, b)
+    return im.scale(rho[0]) - re.scale(rho[1]), re.scale(rho[0]) + im.scale(rho[1])
+
+
+def _field_winding_ray_fraction(edges, along, rho):
+    total = 0
+    for a, b in edges:
+        dpol, qpol = _dpol_fraction(along, a, b, rho)
+        if dpol(F(0)) == 0:
+            return None
+        roots = _roots_fraction(dpol, F(0), F(1))
+        if roots is None:
+            return None
+        for lo, hi in roots:
+            for _ in range(128):
+                q_lo, q_hi = qpol(lo), qpol(hi)
+                if q_lo != 0 and q_hi != 0 and (q_lo > 0) == (q_hi > 0):
+                    break
+                mid = (lo + hi) / 2
+                v_mid = dpol(mid)
+                if v_mid == 0:
+                    return None
+                if (dpol(lo) > 0) != (v_mid > 0):
+                    hi = mid
+                else:
+                    lo = mid
+            else:
+                return None
+            if q_lo < 0:
+                continue
+            total += 1 if (dpol(lo) < 0 and dpol(hi) > 0) else -1
+    return total
+
+
+def _try_ray_fraction(c, m, rho):
+    total = 0
+    for _, _, a, b in c.segments():
+        d = sub(b, a)
+        denom = det(rho, d)
+        w = sub(a, m)
+        if denom == 0:
+            if det(w, d) == 0:
+                return None
+            continue
+        s = F(det(w, d), denom)
+        u = F(det(w, rho), denom)
+        if u in (0, 1) and s >= 0:
+            return None
+        if s == 0:
+            return None
+        if s > 0 and 0 < u < 1:
+            total += 1 if det(rho, d) > 0 else -1
+    return total
+
+
+def _band_pass_counts_fraction(p, c):
+    out = []
+    for band in p.bands:
+        a, b = band.transverse_arc
+        total = 0
+        for _, _, q1, q2 in c.segments():
+            sign = det(sub(q2, q1), sub(b, a))
+            if sign == 0:
+                continue
+            try:
+                meet = segment_meet(q1, q2, a, b)
+            except DegenerateGeometry:
+                raise InvalidInput("curve touches a band core endpoint; perturb") from None
+            if meet is not None:
+                total += 1 if sign > 0 else -1
+        out.append(total)
+    return out
+
+
+FRACTION_RAYS = [(F(1), F(0)), (F(1), F(1)), (F(1), F(-1)), (F(2), F(1)), (F(1), F(2)), (F(3), F(1))] + [
+    (F(1), F((-1) ** k * (2 * k + 1), 257)) for k in range(48)
+]
+
+
+def _windings_fraction(p, c):
+    passes = _band_pass_counts_fraction(p, c)
+    if any(passes):
+        raise InvalidInput("curve is not null-homologous in the page: band passes %r" % (passes,))
+    out = []
+    for m in p.marked_points:
+        vals = [_try_ray_fraction(c, m, rho) for rho in FRACTION_RAYS]
+        found = [v for v in vals if v is not None]
+        if not found:
+            raise InvalidInput("no admissible ray around %r; perturb input" % (m,))
+        out.append(found[0])
+    return out
+
+
+def _kernel_cases():
+    """Seeded page projections, band tongues and hand-made degenerate curves."""
+    rng = random.Random(1812)
+    cases = []
+    while len(cases) < 6:
+        page = random_page(rng)
+        c = random_lagrangian(rng, page)
+        if validate_lagrangian(page, c).ok:
+            cases.append((page, c))
+    for depth in (F(3, 2), F(5, 4), F(7, 4)):
+        cases.append((ONE_BAND, LagrangianDiagram([band_tongue(ONE_BAND, 0, depth)])))
+    # a vertex on the first ray (1, 0) from the centre, an edge along
+    # it, an edge along the band arc, and a vertex on the arc's end
+    for curve in (
+        [(3, 0), (1, 2), (-2, -1)],
+        [(2, 0), (4, 0), (3, 3)],
+        [(F(13, 2), -1), (F(13, 2), 1), (9, 1), (9, -1)],
+        [(F(13, 2), F(1, 2)), (7, 3), (6, 3)],
+    ):
+        cases.append((ONE_BAND, LagrangianDiagram([curve])))
+    return cases
+
+
+def test_fallback_rays_are_the_fraction_rays_scaled():
+    assert len(lagrangian._FALLBACK_RAYS) == len(FRACTION_RAYS)
+    for (x, y), old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
+        assert isinstance(x, int) and isinstance(y, int) and math.gcd(x, y) == 1
+        assert x > 0 and old[0] > 0 and F(y, x) == old[1] / old[0]
+
+
+def test_field_kernel_matches_the_fraction_kernel_on_every_ray():
+    outcomes = {"int": 0, "None": 0}
+    for page, c in _kernel_cases():
+        along = _along_fraction(page)
+        edges, marked, _, _ = lagrangian._frame(page, c)
+        for comp, ints in zip(c.components, edges):
+            fraction_edges = lagrangian._edges(comp)
+            fields = lagrangian._edge_fields(ints, marked[0], marked[1:])
+            for rho, old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
+                want = _field_winding_ray_fraction(fraction_edges, along, old)
+                assert lagrangian._field_winding_ray(fields, rho) == want, (c.components, rho)
+                outcomes["None" if want is None else "int"] += 1
+            # the integer Sturm chain is the Fraction one, member by member
+            for (a, b), (re, im) in zip(fraction_edges, fields):
+                dpol, _ = _dpol_fraction(along, a, b, FRACTION_RAYS[1])
+                rho = lagrangian._FALLBACK_RAYS[1]
+                ints = lagrangian._primitive([rho[0] * y - rho[1] * x for x, y in zip(re, im)])
+                assert lagrangian._sturm_chain(ints) == [q.c for q in _sturm_chain_fraction(dpol)]
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_winding_rays_and_band_passes_match_the_fraction_kernels():
+    outcomes = {"int": 0, "None": 0}
+    for page, c in _kernel_cases():
+        edges, marked, _, _ = lagrangian._frame(page, c)
+        segs = [e for comp in edges for e in comp]
+        for m, q in zip(marked, page.marked_points):
+            for rho, old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
+                want = _try_ray_fraction(c, q, old)
+                assert lagrangian._try_ray(segs, m, rho) == want, (c.components, q, rho)
+                outcomes["None" if want is None else "int"] += 1
+        assert _outcome(lambda c: band_pass_counts(page, c), c) == _outcome(
+            lambda c: _band_pass_counts_fraction(page, c), c
+        )
+        assert _outcome(lambda c: lagrangian._windings(page, c), c) == _outcome(
+            lambda c: _windings_fraction(page, c), c
+        )
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_field_polynomials_are_built_once_per_component(monkeypatch):
+    # the field is aligned with the first ray (1, 0) at the vertex (3, 0)
+    c = LagrangianDiagram([[(3, 0), (1, 2), (-2, -1)], [(2, 3), (3, 3), (3, 4)]])
+    built = _counting(monkeypatch, "_edge_fields")
+    tried = _counting(monkeypatch, "_field_winding_ray")
+    lagrangian._field_windings(ONE_BAND, c)
+    assert len(built) == len(c.components)
+    assert len(tried) > len(c.components)

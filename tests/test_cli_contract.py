@@ -6,8 +6,8 @@ A failed internal check ends in exit code 1 and ``internal error: ...``.
 The workspaces are the bundled fixtures with one or two seeded edits:
 a rational nudged, a field or list item deleted or duplicated, or a
 value replaced by one of another type.  Replacement values stay small;
-a huge ``binding_count`` makes ``homology`` build a quadratic number of
-relations, which is a size problem rather than a contract one.  The
+a huge ``binding_count`` costs time and memory in proportion, which is
+a size problem rather than a contract one.  The
 same edits are made to the Lagrangian fixture, run through ``tb``,
 ``rot-lagr`` and ``check --page``, and to one-step move scripts run
 through ``moves``.

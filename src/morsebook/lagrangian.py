@@ -212,8 +212,8 @@ def _frame(p, c):
     arcs = [b.transverse_arc for b in p.bands]
     corners = [q for b in p.bands for q in b.corners]
     marked = p.marked_points
-    pts = [v for comp in c.components for v in comp] + marked + [q for arc in arcs for q in arc]
-    scale = math.lcm(*(q.denominator for pt in pts + corners for q in pt))
+    pts = [v for comp in c.components for v in comp] + marked + [q for arc in arcs for q in arc] + corners
+    scale = math.lcm(*(q.denominator for pt in pts for q in pt))
     edges = [_edges([_scaled(v, scale) for v in comp]) for comp in c.components]
     return (
         edges,
@@ -427,7 +427,8 @@ def _windings(p, c):
 
 def _try_ray(segs, m, rho):
     """Signed crossings of the ray from m along rho; None when the ray
-    starts on the curve, meets a vertex or runs along a segment."""
+    starts on the line of a segment, meets a vertex or runs along a
+    segment."""
     total = 0
     for a, b in segs:
         d = sub(b, a)

@@ -427,8 +427,8 @@ def _windings(p, c):
 
 def _try_ray(segs, m, rho):
     """Signed crossings of the ray from m along rho; None when the ray
-    starts on the line of a segment, meets a vertex or runs along a
-    segment."""
+    starts on a segment, meets a vertex or runs along a segment.  A
+    segment whose line, not the segment, passes through m is missed."""
     total = 0
     for a, b in segs:
         d = sub(b, a)
@@ -443,8 +443,8 @@ def _try_ray(segs, m, rho):
         s_num, u_num, denom = sign * det(w, d), sign * det(w, rho), sign * denom
         if u_num in (0, denom) and s_num >= 0:
             return None  # vertex on the ray: reselect
-        if s_num == 0:
-            return None
+        if s_num == 0 and 0 <= u_num <= denom:
+            return None  # m on the segment
         if s_num > 0 and 0 < u_num < denom:
             total += sign
     return total

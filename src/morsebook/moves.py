@@ -16,6 +16,12 @@ move that changes the Legendrian class.
 Sites are never searched for: the caller addresses a component, a
 segment or vertex, and parameters.  A site that does not match a
 move's input pattern raises PatternNotFound.
+
+r1 and stabilize splice one template in at the first of twelve halving
+scales whose open box around it is clear: no trace or front segment
+other than the host meets the box on any lattice translate.  The box and
+the segments are scaled once to integers, and each segment is clipped
+against the box's two slabs (Liang & Barsky 1984) by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .front import (
     Vertex,
     validate_front,
 )
-from .geometry import DegenerateGeometry, branch_side, cusp_direction, det
+from .geometry import DegenerateGeometry, _scaled, branch_side, cusp_direction, det
 from .validation import InvalidInput
 
 
@@ -150,6 +156,13 @@ def _site_pair(d, site):
         raise PatternNotFound("no trace pair with id %r" % (pid,)) from None
 
 
+def _site_cusp(comp, site):
+    vi = _site_index(site, "vertex", comp.vertices)
+    if comp.vertices[vi].kind != CUSP:
+        raise PatternNotFound("site vertex is not a cusp")
+    return vi, comp.vertices[vi]
+
+
 def _site_point(comp, site, key="u"):
     si = _site_index(site, "segment", comp.vertices)
     u = _site_fraction(site, key, Fraction(1, 2))
@@ -160,72 +173,57 @@ def _site_point(comp, site, key="u"):
     return si, u, a, b, p
 
 
-def _box_is_clear(d, f, torus, x_lo, x_hi, t_lo, t_hi, skip=()):
-    """True when no trace or front segment meets the open box.
+def _box_is_clear(d, f, torus, box, skip=()):
+    """True when no trace or front segment on ``torus``, on any lattice
+    translate, meets the open box (x_lo, x_hi, t_lo, t_hi); ``skip``
+    lists (component, segment) pairs belonging to the site itself.
 
-    Comparison is modulo the torus lattice; ``skip`` lists (component,
-    segment) pairs belonging to the site itself.
+    Each segment visits only the translates whose extent reaches the
+    box, and meets it exactly when the open parameter intervals of its
+    x-slab and t-slab meet each other and [0, 1] (Liang & Barsky, ACM
+    TOG 3(1), 1984).
     """
-
-    def hits(a, b):
-        alo, ahi = min(a[0], b[0]), max(a[0], b[0])
-        tlo, thi = min(a[1], b[1]), max(a[1], b[1])
-        for nx in range(math.floor(x_lo - ahi), math.ceil(x_hi - alo) + 1):
-            for nt in range(math.floor(t_lo - thi), math.ceil(t_hi - tlo) + 1):
-                pa = (a[0] + nx, a[1] + nt)
-                pb = (b[0] + nx, b[1] + nt)
-                if max(pa[0], pb[0]) <= x_lo or min(pa[0], pb[0]) >= x_hi:
-                    continue
-                if max(pa[1], pb[1]) <= t_lo or min(pa[1], pb[1]) >= t_hi:
-                    continue
-                if _segment_meets_box(pa, pb, x_lo, x_hi, t_lo, t_hi):
-                    return True
-        return False
-
-    for _, _, curve in d.curves():
-        if curve.torus != torus:
-            continue
-        for _, a, b in curve.segments():
-            if hits(a, b):
-                return False
+    segs = [(a, b) for _, _, c in d.curves() if c.torus == torus for _, a, b in c.segments()]
     for ci, comp in enumerate(f.components):
-        if comp.torus != torus:
-            continue
-        for si, a, b in comp.segments():
-            if (ci, si) in skip:
-                continue
-            if hits(a, b):
-                return False
-        for vi, v in enumerate(comp.vertices):
-            px, pt = v.x, v.t
-            keep = any((ci, s) in skip for s in ((vi - 1) % len(comp.vertices), vi))
-            if keep:
-                continue
-            for nx in (-1, 0, 1):
-                for nt in (-1, 0, 1):
-                    if x_lo < px + nx < x_hi and t_lo < pt + nt < t_hi:
-                        return False
+        if comp.torus == torus:
+            segs += [(a, b) for si, a, b in comp.segments() if (ci, si) not in skip]
+    scale = math.lcm(*(q.denominator for q in (*box, *(c for s in segs for p in s for c in p))))
+    (x_lo, t_lo), (x_hi, t_hi) = _scaled(box[::2], scale), _scaled(box[1::2], scale)
+    for a, b in segs:
+        (ax, at), (bx, bt) = _scaled(a, scale), _scaled(b, scale)
+        for nx in _reach(ax, bx, x_lo, x_hi, scale):
+            l1, h1, d1 = _slab(ax + nx * scale, bx + nx * scale, x_lo, x_hi)
+            for nt in _reach(at, bt, t_lo, t_hi, scale):
+                l2, h2, d2 = _slab(at + nt * scale, bt + nt * scale, t_lo, t_hi)
+                low, high = max(l1 * d2, l2 * d1), min(h1 * d2, h2 * d1)
+                if low < high and low < d1 * d2 and high > 0:
+                    return False
     return True
 
 
-def _segment_meets_box(a, b, x_lo, x_hi, t_lo, t_hi):
-    """Closed segment versus open axis box, exactly."""
-    for p in (a, b):
-        if x_lo < p[0] < x_hi and t_lo < p[1] < t_hi:
-            return True
-    corners = [(x_lo, t_lo), (x_hi, t_lo), (x_hi, t_hi), (x_lo, t_hi)]
-    for c1, c2 in zip(corners, corners[1:] + corners[:1]):
-        d1 = (b[0] - a[0], b[1] - a[1])
-        d2 = (c2[0] - c1[0], c2[1] - c1[1])
-        denom = det(d1, d2)
-        w = (c1[0] - a[0], c1[1] - a[1])
-        if denom == 0:
-            continue
-        s = Fraction(det(w, d2), denom)
-        u = Fraction(det(w, d1), denom)
-        if 0 <= s <= 1 and 0 < u < 1:
-            return True
-    return False
+def _reach(a, b, lo, hi, scale):
+    """The n for which [a, b] + n * scale, either way round, meets (lo, hi)."""
+    return range((lo - max(a, b)) // scale + 1, -((min(a, b) - hi) // scale))
+
+
+def _slab(a, b, lo, hi):
+    """The open parameter interval of a -> b inside (lo, hi), as
+    (low numerator, high numerator, denominator > 0).  A constant
+    coordinate, already inside, gives (-1, 2) for all of [0, 1]."""
+    if a < b:
+        return (lo - a, hi - a, b - a)
+    if a > b:
+        return (a - hi, a - lo, a - b)
+    return (-1, 2, 1)
+
+
+def _descent(a, b, move):
+    """The |slope| of the host segment a -> b, which must run rightward
+    and strictly down."""
+    dx, dt = b[0] - a[0], b[1] - a[1]
+    if dx <= 0 or dt >= 0:
+        raise PatternNotFound("%s wants a rightward strictly descending segment" % move)
+    return Fraction(-dt, dx)
 
 
 def _cusp_dir_at(comp, vi):
@@ -233,60 +231,86 @@ def _cusp_dir_at(comp, vi):
     return cusp_direction(prev_pt, comp.vertices[vi].point, next_pt)
 
 
-# ------------------------------------------------------------------- r1
-# Template in units of (h, h*|s|) around the insertion point; the kink
-# carries one down cusp, one up cusp and one positive crossing with the
-# strand just behind the insertion point.
+def _move_tip(f, ci, comp, vi, new_x, refusal):
+    """``f`` with the tip of cusp ``vi`` moved to x = ``new_x``; refused
+    with ``refusal`` when that would change the cusp's direction."""
+    before = _cusp_dir_at(comp, vi)
+    verts = list(comp.vertices)
+    verts[vi] = Vertex(new_x, verts[vi].t, CUSP)
+    out_comp = FrontComponent(comp.torus, verts, comp.closure)
+    if _cusp_dir_at(out_comp, vi) != before:
+        raise PatternNotFound(refusal)
+    return _replace_component(f, ci, out_comp)
 
-_R1_V1 = (Fraction(1, 2), Fraction(-2))
-_R1_V2 = (Fraction(-3, 2), Fraction(2))
-_R1_Q = (Fraction(1), Fraction(-1))
-_R1_X = (Fraction(-8, 5), Fraction(11, 10))
-_R1_T = (Fraction(-21, 10), Fraction(21, 10))
+
+# ------------------------------------------------------ r1 and stabilize
+# Templates in units of (h, h*|s|) around the insertion point p on a
+# host of slope -|s|: the two cusps, the rejoin point q, the open box
+# (x_lo, x_hi, t_lo, t_hi) that must be clear, and the divisor of the
+# largest scale h.  The r1 kink carries one down cusp, one up cusp and
+# one positive crossing with the strand just behind p; the stabilizing
+# cusp pairs, 'down' and 'up', carry no crossing, and their boxes are
+# the template's hull widened by 1/10.
+
+_KINKS = {
+    "r1": (
+        ((Fraction(1, 2), -2), (Fraction(-3, 2), 2), (1, -1)),
+        (Fraction(-8, 5), Fraction(11, 10), Fraction(-21, 10), Fraction(21, 10)),
+        4,
+    ),
+    "down": (
+        ((1, -4), (-1, Fraction(-7, 2)), (8, -8)),
+        (Fraction(-11, 10), Fraction(81, 10), Fraction(-81, 10), Fraction(1, 10)),
+        16,
+    ),
+    "up": (
+        ((1, Fraction(-1, 4)), (Fraction(7, 8), Fraction(1, 2)), (Fraction(9, 4), Fraction(-9, 4))),
+        (Fraction(-1, 10), Fraction(47, 20), Fraction(-47, 20), Fraction(3, 5)),
+        16,
+    ),
+}
 
 
 def _move_r1(d, f, site):
     ci, comp = _site_component(f, site)
-    si, u, a, b, p = _site_point(comp, site)
-    dx, dt = b[0] - a[0], b[1] - a[1]
-    if dx <= 0 or dt >= 0:
-        raise PatternNotFound("r1 wants a rightward strictly descending segment")
-    s_abs = Fraction(-dt, dx)
+    return _insert_kink(d, f, site, ci, comp, "r1", "r1", "the r1 kink")
 
-    scales = (
-        [_site_fraction(site, "scale", None)]
-        if "scale" in site
-        else [min(p[0] - a[0], b[0] - p[0]) / (4 * 2 ** k) for k in range(12)]
-    )
+
+def _move_stabilize(d, f, site):
+    """Insert a same-direction cusp pair: variant 'down' (default) or 'up'."""
+    ci, comp = _site_component(f, site)
+    variant = site.get("variant", "down")
+    if variant not in ("down", "up"):
+        raise PatternNotFound("stabilize variant must be 'down' or 'up'")
+    return _insert_kink(d, f, site, ci, comp, "stabilize", variant, "the stabilization")
+
+
+def _insert_kink(d, f, site, ci, comp, move, kink, what):
+    """Splice the ``_KINKS[kink]`` template in at the site's point, at
+    the first of twelve halving scales (or the site's ``scale``) whose
+    box lies inside the host's x-span and is clear."""
+    (v1, v2, q), box, divisor = _KINKS[kink]
+    si, u, a, b, p = _site_point(comp, site)
+    s_abs = _descent(a, b, move)
+    top = min(p[0] - a[0], b[0] - p[0]) / divisor
+    scales = [top / 2 ** k for k in range(12)]
+    if "scale" in site:
+        scales = [_site_fraction(site, "scale", None)]
     for h in scales:
         if h <= 0:
             continue
-        span_lo, span_hi = p[0] + _R1_X[0] * h, p[0] + _R1_X[1] * h
-        if not (a[0] < span_lo and span_hi < b[0]):
-            continue
-        if not _box_is_clear(
-            d,
-            f,
-            comp.torus,
-            span_lo,
-            span_hi,
-            p[1] + _R1_T[0] * h * s_abs,
-            p[1] + _R1_T[1] * h * s_abs,
-            skip={(ci, si)},
+
+        def world(x, t):
+            return (p[0] + x * h, p[1] + t * h * s_abs)
+
+        (x_lo, t_lo), (x_hi, t_hi) = world(*box[::2]), world(*box[1::2])
+        if a[0] < x_lo and x_hi < b[0] and _box_is_clear(
+            d, f, comp.torus, (x_lo, x_hi, t_lo, t_hi), skip={(ci, si)}
         ):
-            continue
-
-        def world(tpl):
-            return (p[0] + tpl[0] * h, p[1] + tpl[1] * h * s_abs)
-
-        verts = [
-            Vertex(*p, PLAIN),
-            Vertex(*world(_R1_V1), CUSP),
-            Vertex(*world(_R1_V2), CUSP),
-            Vertex(*world(_R1_Q), PLAIN),
-        ]
-        return _replace_component(f, ci, _insert_vertices(comp, si, verts))
-    raise PatternNotFound("no clear room for the r1 kink at this site")
+            verts = [Vertex(*p, PLAIN), Vertex(*world(*v1), CUSP), Vertex(*world(*v2), CUSP)]
+            verts.append(Vertex(*world(*q), PLAIN))
+            return _replace_component(f, ci, _insert_vertices(comp, si, verts))
+    raise PatternNotFound("no clear room for %s at this site" % what)
 
 
 def _move_r1_inv(d, f, site):
@@ -313,61 +337,6 @@ def _move_r1_inv(d, f, site):
     return _replace_component(f, ci, FrontComponent(comp.torus, out, comp.closure))
 
 
-# ----------------------------------------------------------- stabilize
-# one template per cusp direction; neither introduces a crossing
-
-_STAB_TPL = {
-    "down": [(Fraction(1), Fraction(-4)), (Fraction(-1), Fraction(-7, 2)), (Fraction(8), Fraction(-8))],
-    "up": [(Fraction(1), Fraction(-1, 4)), (Fraction(7, 8), Fraction(1, 2)), (Fraction(9, 4), Fraction(-9, 4))],
-}
-
-
-def _move_stabilize(d, f, site):
-    """Insert a same-direction cusp pair: variant 'down' (default) or 'up'."""
-    ci, comp = _site_component(f, site)
-    variant = site.get("variant", "down")
-    if variant not in ("down", "up"):
-        raise PatternNotFound("stabilize variant must be 'down' or 'up'")
-    si, u, a, b, p = _site_point(comp, site)
-    dx, dt = b[0] - a[0], b[1] - a[1]
-    if dx <= 0 or dt >= 0:
-        raise PatternNotFound("stabilize wants a rightward strictly descending segment")
-    s_abs = Fraction(-dt, dx)
-    v1, v2, tq = _STAB_TPL[variant]
-    x_ext = [Fraction(0), v1[0], v2[0], tq[0]]
-    t_ext = [Fraction(0), v1[1], v2[1], tq[1]]
-    margin = Fraction(1, 10)
-
-    scales = (
-        [_site_fraction(site, "scale", None)]
-        if "scale" in site
-        else [min(p[0] - a[0], b[0] - p[0]) / (16 * 2 ** k) for k in range(12)]
-    )
-    for h in scales:
-        if h <= 0:
-            continue
-        lo = p[0] + (min(x_ext) - margin) * h
-        hi = p[0] + (max(x_ext) + margin) * h
-        if not (a[0] < lo and hi < b[0]):
-            continue
-        if not _box_is_clear(
-            d, f, comp.torus, lo, hi,
-            p[1] + (min(t_ext) - margin) * h * s_abs,
-            p[1] + (max(t_ext) + margin) * h * s_abs,
-            skip={(ci, si)},
-        ):
-            continue
-
-        def world(tpl):
-            return (p[0] + tpl[0] * h, p[1] + tpl[1] * h * s_abs)
-
-        verts = [Vertex(*p, PLAIN)]
-        verts += [Vertex(*world(v1), CUSP), Vertex(*world(v2), CUSP)]
-        verts.append(Vertex(*world(tq), PLAIN))
-        return _replace_component(f, ci, _insert_vertices(comp, si, verts))
-    raise PatternNotFound("no clear room for the stabilization at this site")
-
-
 # ----------------------------------------------------------- cusp_trace
 
 
@@ -375,18 +344,13 @@ def _move_cusp_trace(d, f, site):
     """Pass a cusp tip across a trace curve (the curve must be vertical
     over the cusp's t-extent and the swept strip otherwise clear)."""
     ci, comp = _site_component(f, site)
-    vi = _site_index(site, "vertex", comp.vertices)
-    v = comp.vertices[vi]
-    if v.kind != CUSP:
-        raise PatternNotFound("site vertex is not a cusp")
+    vi, v = _site_cusp(comp, site)
     pair, side = _site_pair(d, site)
     curve = pair.curve(side)
     if curve.torus != comp.torus:
         raise PatternNotFound("target trace curve lives on another torus")
     prev_pt, next_pt = comp.neighbor_points(vi)
-    t_lo = min(prev_pt[1], v.t, next_pt[1])
-    t_hi = max(prev_pt[1], v.t, next_pt[1])
-    x_line = _constant_x_on(curve, (t_lo, t_hi))
+    x_line = _constant_x_on(curve, (prev_pt[1], v.t, next_pt[1]))
     tip_side = branch_side(v.point, prev_pt)
     gap = _gap_to_line(v.x, x_line)
     if gap is None:
@@ -396,18 +360,14 @@ def _move_cusp_trace(d, f, site):
         raise PatternNotFound("cusp points away from the trace curve")
     depth = _site_fraction(site, "depth", dist / 2)
     new_x = v.x - tip_side * (dist + depth)
-    before = _cusp_dir_at(comp, vi)
-    verts = list(comp.vertices)
-    verts[vi] = Vertex(new_x, v.t, CUSP)
-    out_comp = FrontComponent(comp.torus, verts, comp.closure)
-    if _cusp_dir_at(out_comp, vi) != before:
-        raise PatternNotFound("crossing would flip the cusp; change depth")
-    return _replace_component(f, ci, out_comp)
+    return _move_tip(f, ci, comp, vi, new_x, "crossing would flip the cusp; change depth")
 
 
-def _constant_x_on(curve, t_span):
-    span_lo = t_span[0] % 1
-    span_hi = span_lo + (t_span[1] - t_span[0])
+def _constant_x_on(curve, ts):
+    """The x (mod 1) of ``curve``, which must be vertical at one x over
+    the t-span of the values ``ts``."""
+    span_lo = min(ts) % 1
+    span_hi = span_lo + (max(ts) - min(ts))
     xs = set()
     for strand in curve.strands:
         for (x1, t1), (x2, t2) in zip(strand, strand[1:]):
@@ -436,21 +396,12 @@ def _gap_to_line(x, x_line):
 def _move_s1(d, f, site):
     """Nudge a cusp tip along its pointing direction within its face."""
     ci, comp = _site_component(f, site)
-    vi = _site_index(site, "vertex", comp.vertices)
-    v = comp.vertices[vi]
-    if v.kind != CUSP:
-        raise PatternNotFound("site vertex is not a cusp")
+    vi, v = _site_cusp(comp, site)
     prev_pt, _ = comp.neighbor_points(vi)
     tip_side = branch_side(v.point, prev_pt)
     depth = _site_fraction(site, "depth", Fraction(1, 1024))
     new_x = v.x - tip_side * depth
-    before = _cusp_dir_at(comp, vi)
-    verts = list(comp.vertices)
-    verts[vi] = Vertex(new_x, v.t, CUSP)
-    out_comp = FrontComponent(comp.torus, verts, comp.closure)
-    if _cusp_dir_at(out_comp, vi) != before:
-        raise PatternNotFound("nudge would flip the cusp; reduce depth")
-    return _replace_component(f, ci, out_comp)
+    return _move_tip(f, ci, comp, vi, new_x, "nudge would flip the cusp; reduce depth")
 
 
 # ------------------------------------------------------------------- k2
@@ -476,10 +427,7 @@ def _move_k2(d, f, site):
     if not (u < u2 < 1):
         raise PatternNotFound("u2 must lie strictly between u and 1")
     q = (a[0] + u2 * (b[0] - a[0]), a[1] + u2 * (b[1] - a[1]))
-    dx, dt = b[0] - a[0], b[1] - a[1]
-    if dx <= 0 or dt >= 0:
-        raise PatternNotFound("k2 wants a rightward strictly descending segment")
-    s_abs = Fraction(-dt, dx)
+    s_abs = _descent(a, b, "k2")
     w = q[0] - p[0]
     eta = _site_fraction(site, "overshoot", Fraction(1, 2 ** 14))
 
@@ -497,7 +445,7 @@ def _move_k2(d, f, site):
         t_lo, t_hi = p[1] % 1 - height, p[1] % 1
     if not (0 < t_lo and t_hi < 1):
         raise PatternNotFound("band crosses the page t=0; choose another site")
-    _require_clear_band(d, f, comp.torus, t_lo, t_hi, ci, si)
+    _require_clear_band(d, t_lo, t_hi)
     stations = _vertical_stations(d, comp.torus, (t_lo, t_hi))
     sign = -1 if variant == "left" else 1
     for x_st, _, _ in stations:
@@ -523,22 +471,13 @@ def _move_k2(d, f, site):
         verts.append(Vertex(lift_enter, t_here, TELEPORT, pair=pid, side=partner, role=ENTER))
     t_far = p[1] - sign * height
 
-    if variant == "left":
-        q_final = Vertex(end_lift + w, q[1], PLAIN)
-        new_vertices = (
-            [Vertex(p[0], p[1], CUSP)]
-            + verts
-            + [Vertex(end_lift, t_far, CUSP), q_final]
-        )
-        shift_x = (end_lift + w) - q[0]
-    else:
-        q_final = Vertex(end_lift - eta, q[1], CUSP)
-        new_vertices = (
-            [Vertex(p[0], p[1], PLAIN)]
-            + verts
-            + [Vertex(end_lift, t_far, CUSP), q_final]
-        )
-        shift_x = (end_lift - eta) - q[0]
+    if variant == "left":  # detach at a cusp, rejoin plainly
+        p_kind, q_kind, q_x = CUSP, PLAIN, end_lift + w
+    else:  # detach plainly, rejoin at a cusp one overshoot short
+        p_kind, q_kind, q_x = PLAIN, CUSP, end_lift - eta
+    new_vertices = [Vertex(p[0], p[1], p_kind)] + verts
+    new_vertices += [Vertex(end_lift, t_far, CUSP), Vertex(q_x, q[1], q_kind)]
+    shift_x = q_x - q[0]
     if shift_x % 1 != 0:
         raise AssertionError("k2 wrap shift is not integral")
     return _replace_component(
@@ -546,7 +485,7 @@ def _move_k2(d, f, site):
     )
 
 
-def _require_clear_band(d, f, torus, t_lo, t_hi, ci, si):
+def _require_clear_band(d, t_lo, t_hi):
     # other front strands may cross the wrap transversally; only handle
     # slides inside the band break the construction
     for pair in d.trace_pairs:
@@ -560,19 +499,8 @@ def _vertical_stations(d, torus, band):
     for pair in d.trace_pairs:
         for side in (PLUS, MINUS):
             curve = pair.curve(side)
-            if curve.torus != torus:
-                continue
-            xs = set()
-            for strand in curve.strands:
-                for (x1, t1), (x2, t2) in zip(strand, strand[1:]):
-                    if t2 <= band[0] or t1 >= band[1]:
-                        continue
-                    if x1 != x2:
-                        raise PatternNotFound("trace curve not vertical in the band")
-                    xs.add(x1 % 1)
-            if len(xs) != 1:
-                raise PatternNotFound("trace curve not constant in the band")
-            out.append((xs.pop(), pair.id, side))
+            if curve.torus == torus:
+                out.append((_constant_x_on(curve, band), pair.id, side))
     return out
 
 
@@ -583,15 +511,12 @@ def _partner_walk(start_lift, stations, sign, extra=Fraction(0)):
     Each leg is (length, event) where event is None for the final run
     or (exit lift, pair id, side, enter lift, partner side).
     """
-    pos = {}
-    for x, pid, side in stations:
-        pos[(pid, side)] = x
+    pos = {(pid, side): x for x, pid, side in stations}
     total = Fraction(1) + (extra if sign > 0 else Fraction(0))
-    start_mod = start_lift % 1
     legs = []
     visited = set()
     travelled = Fraction(0)
-    cur_mod = start_mod
+    cur_mod = start_lift % 1
     cur_lift = start_lift
     revisit = False
     while True:
@@ -644,15 +569,13 @@ def _move_b1(d, f, site):
     if variant not in ("down", "up"):
         raise PatternNotFound("b1 variant must be 'down' or 'up'")
     si, u, a, b, p = _site_point(comp, site)
-    dx, dt = b[0] - a[0], b[1] - a[1]
-    if dx <= 0 or dt >= 0:
-        raise PatternNotFound("b1 wants a rightward strictly descending segment")
-    s_abs = Fraction(-dt, dx)
+    s_abs = _descent(a, b, "b1")
+    dx = b[0] - a[0]
     width = _site_fraction(site, "width", Fraction(1, 64))
     # keep the shallow leg flatter than the host so the re-entry cusp
     # direction matches the dive's
     sigma = _site_fraction(site, "sigma", min(Fraction(1, 512), s_abs * width / 4))
-    u2_default = u + min((1 - u) / 16, sigma / (8 * -dt), width / (8 * dx))
+    u2_default = u + min((1 - u) / 16, sigma / (8 * s_abs * dx), width / (8 * dx))
     u2 = _site_fraction(site, "u2", u2_default)
     if not (u < u2 < 1):
         raise PatternNotFound("u2 must lie strictly between u and 1")
@@ -704,10 +627,7 @@ def _move_k3(d, f, site):
     teleports back.
     """
     ci, comp = _site_component(f, site)
-    vi = _site_index(site, "vertex", comp.vertices)
-    v = comp.vertices[vi]
-    if v.kind != CUSP:
-        raise PatternNotFound("site vertex is not a cusp")
+    vi, v = _site_cusp(comp, site)
     pair, side = _site_pair(d, site)
     partner_side = MINUS if side == PLUS else PLUS
     curve = pair.curve(side)
@@ -715,10 +635,8 @@ def _move_k3(d, f, site):
     if curve.torus != comp.torus or partner.torus != comp.torus:
         raise PatternNotFound("trace pair does not live on the site torus")
     prev_pt, next_pt = comp.neighbor_points(vi)
-    t_lo = min(prev_pt[1], v.t, next_pt[1])
-    t_hi = max(prev_pt[1], v.t, next_pt[1])
-    x_line = _constant_x_on(curve, (t_lo, t_hi))
-    x_part = _constant_x_on(partner, (t_lo, t_hi))
+    ts = (prev_pt[1], v.t, next_pt[1])
+    x_line, x_part = _constant_x_on(curve, ts), _constant_x_on(partner, ts)
 
     hit_in = _line_crossing(prev_pt, v.point, x_line)
     hit_out = _line_crossing(v.point, next_pt, x_line)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import MINUS, PLUS, curve_orientation
 from .front import ENTER, EXIT, TELEPORT, null_trace_crossings, validate_front
@@ -378,6 +379,22 @@ def _total_resolution(d, f, assignment):
     raise InvalidInput("could not realize resolution geometry: %s" % (last_err,))
 
 
+class _Node(NamedTuple):
+    """A node of the resolution on the curve ``curve`` = (pair id, side)
+    at (x, t): a front endpoint ('front'), or where a handle slide's
+    sliding curve pours into ('merge') or drains from ('split') it."""
+
+    kind: str
+    curve: tuple
+    t: Fraction
+    x: Fraction
+    torus: int
+    endpoint: TeleportEndpoint = None  # front: the endpoint itself
+    hint: tuple = None  # front: the direction the front leaves in
+    slider: tuple = None  # merge, split: the sliding curve's key
+    slider_strand: list = None  # merge, split: its strand below, above
+
+
 def _node_list(d, f, assignment):
     """Front-endpoint and trivalent nodes, each sitting on one curve."""
     nodes = []
@@ -393,15 +410,7 @@ def _node_list(d, f, assignment):
             hint_v = comp.vertex(vi + 1)
         hint = (hint_v.x - v.x, hint_v.t - v.t)
         nodes.append(
-            {
-                "kind": "front",
-                "curve": (ep.pair_id, ep.side),
-                "t": ep.t,
-                "x": curve.x_at(ep.t),
-                "torus": curve.torus,
-                "endpoint": ep,
-                "hint": hint,
-            }
+            _Node("front", (ep.pair_id, ep.side), ep.t, curve.x_at(ep.t), curve.torus, ep, hint)
         )
     for pair in d.trace_pairs:
         for tp in pair.teleports:
@@ -413,28 +422,14 @@ def _node_list(d, f, assignment):
                     below, above = s1, s2
             exit_side = tp.target_side
             entry_side = MINUS if exit_side == PLUS else PLUS
-            nodes.append(
-                {
-                    "kind": "merge",
-                    "curve": (target.id, exit_side),
-                    "t": tp.t,
-                    "x": target.curve(exit_side).x_at(tp.t),
-                    "torus": target.curve(exit_side).torus,
-                    "slider": (pair.id, tp.side),
-                    "slider_strand": below,
-                }
-            )
-            nodes.append(
-                {
-                    "kind": "split",
-                    "curve": (target.id, entry_side),
-                    "t": tp.t,
-                    "x": target.curve(entry_side).x_at(tp.t),
-                    "torus": target.curve(entry_side).torus,
-                    "slider": (pair.id, tp.side),
-                    "slider_strand": above,
-                }
-            )
+            for kind, side, strand in (("merge", exit_side, below), ("split", entry_side, above)):
+                curve = target.curve(side)
+                nodes.append(
+                    _Node(
+                        kind, (target.id, side), tp.t, curve.x_at(tp.t), curve.torus,
+                        slider=(pair.id, tp.side), slider_strand=strand,
+                    )
+                )
     return nodes
 
 
@@ -476,11 +471,11 @@ def _attachments(d, assignment, node, eps, delta):
     departing tail; directions are measured from the node center for
     the nested matching.
     """
-    key = node["curve"]
+    key = node.curve
     pair = d.trace_pairs[d.pair_index(key[0])]
     curve = pair.curve(key[1])
-    t = node["t"]
-    center = (node["x"], t)
+    t = node.t
+    center = (node.x, t)
     m_below = assignment.value_at(key[0], key[1], t - delta)
     m_above = assignment.value_at(key[0], key[1], t)
     out = []
@@ -496,22 +491,21 @@ def _attachments(d, assignment, node, eps, delta):
     if m_above != 0:
         bundle(curve.x_at(t + delta), t + delta, m_above, "start", "end")
 
-    if node["kind"] == "front":
-        ep = node["endpoint"]
-        io = "end" if ep.sign > 0 else "start"
-        out.append((center, node["hint"], io))
+    if node.kind == "front":
+        io = "end" if node.endpoint.sign > 0 else "start"
+        out.append((center, node.hint, io))
     else:
-        m_s = _slider_value(assignment, node["slider"], t)
+        m_s = _slider_value(assignment, node.slider, t)
         if m_s != 0:
-            strand = node["slider_strand"]
-            if node["kind"] == "merge":
+            strand = node.slider_strand
+            if node.kind == "merge":
                 t_at = t - delta
             else:
                 t_at = t + delta
             x_s = eval_piecewise(strand, t_at)
             for j in range(1, abs(m_s) + 1):
                 pt = (x_s + j * eps, t_at)
-                if node["kind"] == "merge":
+                if node.kind == "merge":
                     io = "end" if m_s > 0 else "start"
                 else:
                     io = "start" if m_s > 0 else "end"
@@ -615,7 +609,7 @@ def _build_with(d, f, assignment, eps, delta):
         ):
             if pt_end == pt_start:
                 raise DegenerateGeometry("zero-length chord")
-            register(Piece("chord", node["torus"], [pt_end, pt_start]))
+            register(Piece("chord", node.torus, [pt_end, pt_start]))
 
     curves = _assemble(pieces, junction_next)
     return TotalResolution(curves, pieces, assignment, eps, delta)

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -574,7 +576,7 @@ def _try_ray_fraction(c, m, rho):
         u = F(det(w, rho), denom)
         if u in (0, 1) and s >= 0:
             return None
-        if s == 0:
+        if s == 0 and 0 <= u <= 1:
             return None
         if s > 0 and 0 < u < 1:
             total += 1 if det(rho, d) > 0 else -1
@@ -697,3 +699,32 @@ def test_field_polynomials_are_built_once_per_component(monkeypatch):
     lagrangian._field_windings(ONE_BAND, c)
     assert len(built) == len(c.components)
     assert len(tried) > len(c.components)
+
+
+ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+def _plane_oracle():
+    """``perfbench/oracles.plane_oracle``, loaded read-only by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.plane_oracle
+
+
+def test_a_marked_point_on_the_line_of_an_edge_does_not_block_the_rays():
+    # each curve has an edge on a line through a marked point, (0, 0) or
+    # the saddle (13/2, 0), far outside the edge itself
+    plane_oracle = _plane_oracle()
+    for curve in (
+        [(2, 0), (4, 0), (3, 3)],
+        [(3, 3), (4, 0), (2, 0)],
+        [(0, 2), (0, 4), (-3, 3)],
+        [(-1, -1), (-2, -2), (-1, -3)],
+    ):
+        c = LagrangianDiagram([curve])
+        want = plane_oracle(c, ONE_BAND.marked_points)
+        got = rot_lagrangian(ONE_BAND, c)
+        assert winding_numbers(ONE_BAND, c) == want["windings"] == got.windings, curve
+        assert (tb_writhe(ONE_BAND, c), got.rot) == (want["tb"], want["rot"]), curve
+        assert _windings_fraction(ONE_BAND, c) == want["windings"], curve

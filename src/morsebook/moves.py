@@ -187,7 +187,8 @@ def _box_is_clear(d, f, torus, box, skip=()):
     for ci, comp in enumerate(f.components):
         if comp.torus == torus:
             segs += [(a, b) for si, a, b in comp.segments() if (ci, si) not in skip]
-    scale = math.lcm(*(q.denominator for q in (*box, *(c for s in segs for p in s for c in p))))
+    coords = [*box, *(c for seg in segs for point in seg for c in point)]
+    scale = math.lcm(*(c.denominator for c in coords))
     (x_lo, t_lo), (x_hi, t_hi) = _scaled(box[::2], scale), _scaled(box[1::2], scale)
     for a, b in segs:
         (ax, at), (bx, bt) = _scaled(a, scale), _scaled(b, scale)
@@ -209,7 +210,8 @@ def _reach(a, b, lo, hi, scale):
 def _slab(a, b, lo, hi):
     """The open parameter interval of a -> b inside (lo, hi), as
     (low numerator, high numerator, denominator > 0).  A constant
-    coordinate, already inside, gives (-1, 2) for all of [0, 1]."""
+    coordinate, which ``_reach`` has put inside, gives (-1, 2): all of
+    [0, 1]."""
     if a < b:
         return (lo - a, hi - a, b - a)
     if a > b:

@@ -521,21 +521,20 @@ def _partner_walk(start_lift, stations, sign, extra=Fraction(0)):
     cur_mod = start_lift % 1
     cur_lift = start_lift
     revisit = False
+
+    def gap(station):
+        """How far the walk runs to the station: a full turn when on it."""
+        x = station[0]
+        return ((cur_mod - x) % 1 if sign < 0 else (x - cur_mod) % 1) or Fraction(1)
+
     while True:
         remaining = total - travelled
-        gap_next = None
-        best = None
-        for x, pid, side in stations:
-            g = ((cur_mod - x) % 1) if sign < 0 else ((x - cur_mod) % 1)
-            if g == 0:
-                g = Fraction(1)
-            if gap_next is None or g < gap_next:
-                gap_next = g
-                best = (x, pid, side)
-        if gap_next is None or gap_next >= remaining:
+        best = min(stations, key=gap, default=None)
+        if best is None or gap(best) >= remaining:
             cur_lift += sign * remaining
             legs.append((remaining, None))
             break
+        gap_next = gap(best)
         travelled += gap_next
         cur_lift += sign * gap_next
         x, pid, side = best

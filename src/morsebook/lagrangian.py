@@ -428,7 +428,8 @@ def _windings(p, c):
 def _try_ray(segs, m, rho):
     """Signed crossings of the ray from m along rho; None when the ray
     starts on a segment, meets a vertex or runs along a segment.  A
-    segment whose line, not the segment, passes through m is missed."""
+    segment whose line, but not the segment itself, passes through m
+    does not block the ray."""
     total = 0
     for a, b in segs:
         d = sub(b, a)

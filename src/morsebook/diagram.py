@@ -134,11 +134,6 @@ class Event:
         self.target = target  # (pair_index, exit side)
         self.sign = sign
 
-    @property
-    def target_entry(self):
-        i, side = self.target
-        return (i, MINUS if side == PLUS else PLUS)
-
 
 def validate_diagram(d):
     """Check every MorseDiagram invariant; report violations, never raise."""
@@ -362,23 +357,6 @@ class LabeledDiagram:
     def edge_diffs(self):
         return [
             spans[-1][2].minus(spans[0][2]) for spans in self.edge_labels
-        ]
-
-    def curve_intervals(self, pair_index, side):
-        """Label intervals of one curve, cut at breaks and trivalent points."""
-        d = self.diagram
-        curve = d.trace_pairs[pair_index].curve(side)
-        cuts = set()
-        for e in d.events():
-            if e.slider == (pair_index, side):
-                cuts.add(e.t)
-            if e.target == (pair_index, side) or e.target_entry == (pair_index, side):
-                cuts.add(e.t)
-        ts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
-        return [
-            (t0, t1, self.pair_label_at(pair_index, t0))
-            for t0, t1 in zip(ts, ts[1:])
-            if t0 != t1
         ]
 
 

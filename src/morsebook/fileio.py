@@ -260,11 +260,11 @@ def parse_page(doc, path="page"):
             c = _list(c, bpath + ".corners", 2, "[x, y]")
             corners.append((_rat(c[0], bpath), _rat(c[1], bpath)))
         bands.append(Band(corners))
-    return PageModel(
-        (_rat(center[0], path), _rat(center[1], path)),
-        _rat(disc["radius"], path + ".disc.radius"),
-        bands,
-    )
+    center = (_rat(center[0], path), _rat(center[1], path))
+    radius = _rat(disc["radius"], path + ".disc.radius")
+    if radius <= 0:
+        raise ParseError(path + ".disc.radius", "must be positive")
+    return PageModel(center, radius, bands)
 
 
 def page_doc(p):

@@ -13,20 +13,25 @@ All computations are exact: turning and winding numbers come from
 signed ray crossings, and the direct field-relative rotation uses
 Sturm chains on integer polynomials.
 
-Every public function validates once at entry and then calls
-private bodies that trust their input; ``tb_writhe`` reads the writhe
-off the crossing list that validation found.  The crossing list, the
-marked-point check, the band passes, the winding rays and the field
-winding work on integers: the points scaled once over their common
-denominator, the fallback rays as primitive integer pairs.  Segment
-meets are geometry's ``_meet_int``; the crossing list tests only the
-pairs whose boxes meet.
+Every public function builds one integer frame at entry, ``_frame``:
+the curve's edges, the marked points, the band arcs, the band corners,
+the disc centre and the squared radius, all scaled once by the common
+denominator.  ``_validate`` checks the frame, and the private bodies
+that trust its verdict read the same frame; ``tb_writhe`` reads the
+writhe off the crossing list that validation found.  The disc test
+compares squared distances, the band test is a bounding box and a
+convexity test on the corners, and the edge directions of the
+reversal check, the turning number and the writhe are integer pairs.
+One positive factor scales every point, so each sign and decision is
+the one the rationals give.  Segment meets are geometry's
+``_meet_int``; the crossing list tests only the pairs whose boxes meet.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import DegenerateGeometry, _meet_int, _scaled, box_overlaps, det, sub
 from .validation import InvalidInput, ValidationReport
@@ -57,13 +62,6 @@ class Band:
         a = _midpoint(self.corners[1], self.corners[2])
         b = _midpoint(self.corners[3], self.corners[0])
         return (a, b)
-
-    def contains(self, p):
-        xs = [c[0] for c in self.corners]
-        ys = [c[1] for c in self.corners]
-        if not (min(xs) <= p[0] <= max(xs) and min(ys) <= p[1] <= max(ys)):
-            return False
-        return _in_convex(self.corners, p)
 
 
 def _midpoint(a, b):
@@ -99,20 +97,6 @@ class PageModel:
     def marked_points(self):
         return [self.center] + [b.saddle for b in self.bands]
 
-    def in_disc(self, p):
-        dx = p[0] - self.center[0]
-        dy = p[1] - self.center[1]
-        return dx * dx + dy * dy < self.radius * self.radius
-
-    def containing_pieces(self, p):
-        out = []
-        if self.in_disc(p):
-            out.append("disc")
-        for i, b in enumerate(self.bands):
-            if b.contains(p):
-                out.append(i)
-        return out
-
 
 class LagrangianDiagram:
     """Oriented immersed polygonal curves with crossing over/under data.
@@ -134,41 +118,90 @@ class LagrangianDiagram:
                 yield (ci, i, comp[i], comp[(i + 1) % n])
 
 
-def diagram_crossings(c):
+class _Frame(NamedTuple):
+    """The page and the curve as integers over their common denominator."""
+
+    scale: int
+    edges: list  # per component, its edges (a, b), segment i from vertex i
+    marked: list  # the centre, then each band's saddle
+    arcs: list  # each band's transverse arc (a, b)
+    corners: list  # each band's four corners
+    centre: tuple
+    r2: int  # the squared radius
+
+
+def _frame(p, c):
+    """The frame of page ``p`` and curve ``c``, scaled by one positive factor."""
+    arcs = [b.transverse_arc for b in p.bands]
+    marked = p.marked_points
+    pts = [v for comp in c.components for v in comp] + marked + [q for arc in arcs for q in arc]
+    pts += [q for b in p.bands for q in b.corners]
+    scale = math.lcm(p.radius.denominator, *(q.denominator for pt in pts for q in pt))
+    radius = p.radius.numerator * (scale // p.radius.denominator)
+    return _Frame(
+        scale,
+        [_edges([_scaled(v, scale) for v in comp]) for comp in c.components],
+        [_scaled(m, scale) for m in marked],
+        [(_scaled(a, scale), _scaled(b, scale)) for a, b in arcs],
+        [[_scaled(q, scale) for q in b.corners] for b in p.bands],
+        _scaled(p.center, scale),
+        radius * radius,
+    )
+
+
+def _edges(comp):
+    n = len(comp)
+    return [(comp[i], comp[(i + 1) % n]) for i in range(n)]
+
+
+def _pieces(fr, v):
+    """The page pieces that hold the scaled point v: "disc" and band indices."""
+    dx, dy = sub(v, fr.centre)
+    held = {"disc"} if dx * dx + dy * dy < fr.r2 else set()
+    for i, corners in enumerate(fr.corners):
+        xs = [q[0] for q in corners]
+        ys = [q[1] for q in corners]
+        if min(xs) <= v[0] <= max(xs) and min(ys) <= v[1] <= max(ys) and _in_convex(corners, v):
+            held.add(i)
+    return held
+
+
+def diagram_crossings(c, fr=None):
     """All transverse self-intersections with their segment pairs.
 
     Returns ((ci1, s1), (ci2, s2), point) triples in ascending order of
     the two segments' places in ``c.segments()``, the point in the
     input coordinates.  Raises InvalidInput at the first such pair that
     overlaps collinearly or touches at an endpoint.  The tests run on
-    the integer frame of the module docstring, on the pairs whose
-    boxes meet; edges of zero length are rejected by validation first.
+    the frame ``fr`` of the caller's page and ``c``, on the pairs whose
+    boxes meet; without one, ``c`` is framed on the unit disc, which
+    adds no denominator.  Edges of zero length are rejected by
+    validation first.
     """
-    segs = list(c.segments())
-    scale = math.lcm(*(q.denominator for comp in c.components for v in comp for q in v))
-    ints = [(_scaled(a, scale), _scaled(b, scale)) for _, _, a, b in segs]
+    if fr is None:
+        fr = _frame(PageModel((0, 0), 1), c)
+    segs = [(ci, si, e) for ci, comp in enumerate(fr.edges) for si, e in enumerate(comp)]
     boxes = [
         (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
-        for a, b in ints
+        for _, _, (a, b) in segs
     ]
     out = []
     for i, j in box_overlaps(boxes):
-        ci1, s1 = segs[i][:2]
-        ci2, s2 = segs[j][:2]
+        ci1, s1, (a1, b1) = segs[i]
+        ci2, s2, e2 = segs[j]
         if ci1 == ci2:
-            n = len(c.components[ci1])
+            n = len(fr.edges[ci1])
             if (s1 - s2) % n in (0, 1) or (s2 - s1) % n in (0, 1):
                 continue
-        a1, b1 = ints[i]
         try:
-            meet = _meet_int(a1, b1, *ints[j])
+            meet = _meet_int(a1, b1, *e2)
         except DegenerateGeometry as e:
             if str(e) == "endpoint contact":
                 raise InvalidInput("segments touch at an endpoint; perturb input") from None
             raise InvalidInput("collinear overlapping segments") from None
         if meet is not None:
             s_num, _, denom = meet
-            scaled = scale * denom
+            scaled = fr.scale * denom
             pt = (
                 Fraction(a1[0] * denom + s_num * (b1[0] - a1[0]), scaled),
                 Fraction(a1[1] * denom + s_num * (b1[1] - a1[1]), scaled),
@@ -182,10 +215,13 @@ def band_pass_counts(p, c):
 
     A segment parallel to the arc, or along it, does not pass.
     """
-    edges, _, arcs, _ = _frame(p, c)
-    segs = [e for comp in edges for e in comp]
+    return _band_passes(_frame(p, c))
+
+
+def _band_passes(fr):
+    segs = [e for comp in fr.edges for e in comp]
     out = []
-    for a, b in arcs:
+    for a, b in fr.arcs:
         total = 0
         d2 = sub(b, a)
         for q1, q2 in segs:
@@ -202,30 +238,12 @@ def band_pass_counts(p, c):
     return out
 
 
-def _frame(p, c):
-    """The curve and the page's points as integers over their common denominator.
-
-    Returns the edges (a, b) of each component, the marked points, the
-    band arcs and the band corners, all scaled by one positive factor,
-    so every sign and parameter test below decides as on the Fractions.
-    """
-    arcs = [b.transverse_arc for b in p.bands]
-    corners = [q for b in p.bands for q in b.corners]
-    marked = p.marked_points
-    pts = [v for comp in c.components for v in comp] + marked + [q for arc in arcs for q in arc] + corners
-    scale = math.lcm(*(q.denominator for pt in pts for q in pt))
-    edges = [_edges([_scaled(v, scale) for v in comp]) for comp in c.components]
-    return (
-        edges,
-        [_scaled(m, scale) for m in marked],
-        [(_scaled(a, scale), _scaled(b, scale)) for a, b in arcs],
-        [_scaled(q, scale) for q in corners],
-    )
-
-
-def _edges(comp):
-    n = len(comp)
-    return [(comp[i], comp[(i + 1) % n]) for i in range(n)]
+def _require_null(fr):
+    passes = _band_passes(fr)
+    if any(passes):
+        raise InvalidInput(
+            "curve is not null-homologous in the page: band passes %r" % (passes,)
+        )
 
 
 def validate_lagrangian(p, c):
@@ -234,59 +252,59 @@ def validate_lagrangian(p, c):
 
 
 def _checked(p, c):
-    """Validate at entry: the crossing list, or InvalidInput."""
-    report, found = _validate(p, c)
+    """Validate at entry: the frame and the crossing list, or InvalidInput."""
+    report, fr, found = _validate(p, c)
     report.raise_if_invalid("lagrangian diagram")
-    return found
+    return fr, found
 
 
 def _validate(p, c):
-    """The validation report and the crossing list that it checked.
+    """The validation report, the frame and the crossing list that it checked.
 
     The list is None when the report fails before the crossings.
     """
     report = ValidationReport()
-    critical = p.marked_points
-    for i, m in enumerate(critical):
-        if m in critical[:i]:
+    fr = _frame(p, c)
+    for i, m in enumerate(fr.marked):
+        if m in fr.marked[:i]:
             report.add("page", "two marked points coincide; perturb the bands")
-    for ci, comp in enumerate(c.components):
+    for ci, comp in enumerate(fr.edges):
         loc = "component %d" % ci
-        if len(comp) < 3:
+        n = len(comp)
+        if n < 3:
             report.add(loc, "component needs at least three vertices")
             continue
-        pieces = [set(p.containing_pieces(v)) for v in comp]
+        pieces = [_pieces(fr, a) for a, _ in comp]
         for i, held in enumerate(pieces):
             if not held:
                 report.add(loc, "vertex %d outside the page" % i)
-        n = len(comp)
-        for i in range(n):
-            if comp[i] == comp[(i + 1) % n]:
+        for i, (a, b) in enumerate(comp):
+            if a == b:
                 report.add(loc, "zero-length edge at vertex %d" % i)
                 continue
             if not pieces[i] & pieces[(i + 1) % n]:
                 report.add(loc, "segment %d leaves the page pieces" % i)
         # reversals make the turning number ill-defined
+        dirs = _dirs(comp)
         for i in range(n):
-            u = sub(comp[(i + 1) % n], comp[i])
-            v = sub(comp[(i + 2) % n], comp[(i + 1) % n])
+            u, v = dirs[i], dirs[(i + 1) % n]
             if det(u, v) == 0 and (u[0] * v[0] + u[1] * v[1]) < 0:
                 report.add(loc, "tangent reversal at vertex %d" % ((i + 1) % n))
     if not report.ok:
-        return report, None
+        return report, fr, None
 
-    edges, marked, _, corners = _frame(p, c)
-    for comp in edges:
+    points = fr.marked + [q for corners in fr.corners for q in corners]
+    for comp in fr.edges:
         for a, b in comp:
-            for m in marked + corners:
+            for m in points:
                 if _on_segment(a, b, m):
                     report.add("page", "curve passes through a marked or corner point")
 
     try:
-        found = diagram_crossings(c)
+        found = diagram_crossings(c, fr)
     except InvalidInput as e:
         report.add("crossings", str(e))
-        return report, None
+        return report, fr, None
     pts = {}
     for _, _, pt in found:
         pts[pt] = pts.get(pt, 0) + 1
@@ -299,7 +317,7 @@ def _validate(p, c):
     want = {frozenset([k1, k2]) for k1, k2, _ in found}
     if keys != want:
         report.add("crossings", "over/under table does not match the crossings")
-    return report, found
+    return report, fr, found
 
 
 def _on_segment(a, b, m):
@@ -310,18 +328,16 @@ def _on_segment(a, b, m):
     return det(sub(b, a), sub(m, a)) == 0
 
 
-def require_null_homologous(p, c):
-    passes = band_pass_counts(p, c)
-    if any(passes):
-        raise InvalidInput(
-            "curve is not null-homologous in the page: band passes %r" % (passes,)
-        )
+def _dirs(comp):
+    """The direction b - a of each edge (a, b)."""
+    return [sub(b, a) for a, b in comp]
 
 
 def tb_writhe(p, c):
     """Thurston-Bennequin number: the writhe; validates once at entry."""
-    found = _checked(p, c)
-    require_null_homologous(p, c)
+    fr, found = _checked(p, c)
+    _require_null(fr)
+    dirs = [_dirs(comp) for comp in fr.edges]
     table = {
         frozenset([tuple(e["over"]), tuple(e["under"])]): (
             tuple(e["over"]),
@@ -331,27 +347,9 @@ def tb_writhe(p, c):
     }
     total = 0
     for k1, k2, _ in found:
-        over, under = table[frozenset([k1, k2])]
-        d_over = _seg_dir(c, over)
-        d_under = _seg_dir(c, under)
-        total += 1 if det(d_over, d_under) > 0 else -1
+        (co, so), (cu, su) = table[frozenset([k1, k2])]
+        total += 1 if det(dirs[co][so], dirs[cu][su]) > 0 else -1
     return total
-
-
-def _seg_dir(c, key):
-    ci, si = key
-    comp = c.components[ci]
-    n = len(comp)
-    return sub(comp[(si + 1) % n], comp[si])
-
-
-def _edge_dirs(comp):
-    n = len(comp)
-    return [sub(comp[(i + 1) % n], comp[i]) for i in range(n)]
-
-
-def _ray_ok_for_dirs(rho, dirs):
-    return all(det(rho, d) != 0 for d in dirs)
 
 
 # deterministic fallback directions, as primitive integer pairs: simple
@@ -373,16 +371,16 @@ def _first_ray(count, message):
 
 def turning_number(p, c):
     """Whitney index of the tangent, summed over components; validates once at entry."""
-    _checked(p, c)
-    return _turning(c)
+    fr, _ = _checked(p, c)
+    return _turning(fr)
 
 
-def _turning(c):
+def _turning(fr):
     total = 0
-    for comp in c.components:
-        dirs = _edge_dirs(comp)
+    for comp in fr.edges:
+        dirs = _dirs(comp)
         total += _first_ray(
-            lambda rho: _direction_winding(dirs, rho) if _ray_ok_for_dirs(rho, dirs) else None,
+            lambda rho: _direction_winding(dirs, rho) if all(det(rho, d) for d in dirs) else None,
             "could not select a reference direction",
         )
     return total
@@ -408,20 +406,20 @@ def _direction_winding(dirs, rho):
 
 def winding_numbers(p, c):
     """Winding of the curve around each marked point; validates once at entry."""
-    _checked(p, c)
-    return _windings(p, c)
+    fr, _ = _checked(p, c)
+    return _windings(fr)
 
 
-def _windings(p, c):
-    require_null_homologous(p, c)
-    edges, marked, _, _ = _frame(p, c)
-    segs = [e for comp in edges for e in comp]
+def _windings(fr):
+    _require_null(fr)
+    segs = [e for comp in fr.edges for e in comp]
     return [
         _first_ray(
             lambda rho: _try_ray(segs, m, rho),
-            "no admissible ray around %r; perturb input" % (q,),
+            "no admissible ray around %r; perturb input"
+            % ((Fraction(m[0], fr.scale), Fraction(m[1], fr.scale)),),
         )
-        for m, q in zip(marked, p.marked_points)
+        for m in fr.marked
     ]
 
 
@@ -581,16 +579,15 @@ def field_relative_turning(p, c):
     direction along the curve, the latter by Sturm-counted crossings of
     a reference direction.  Validates once at entry.
     """
-    _checked(p, c)
-    return _turning(c) - _field_windings(p, c)
+    fr, _ = _checked(p, c)
+    return _turning(fr) - _field_windings(fr)
 
 
-def _field_windings(p, c):
+def _field_windings(fr):
     """Winding of the Morse field's direction along the curve."""
-    edges, marked, _, _ = _frame(p, c)
     total = 0
-    for comp in edges:
-        fields = _edge_fields(comp, marked[0], marked[1:])
+    for comp in fr.edges:
+        fields = _edge_fields(comp, fr.centre, fr.marked[1:])
         total += _first_ray(
             lambda rho: _field_winding_ray(fields, rho),
             "no admissible reference direction for the field winding",
@@ -661,12 +658,12 @@ def rot_lagrangian(p, c):
     direct computation along the curve.  Validates once at entry and
     counts the turning once.
     """
-    _checked(p, c)
-    w = _windings(p, c)
-    rot = _turning(c)
+    fr, _ = _checked(p, c)
+    w = _windings(fr)
+    rot = _turning(fr)
     surface = w[0] - sum(w[1:])
     rot_v0 = rot - surface
-    direct = rot - _field_windings(p, c)
+    direct = rot - _field_windings(fr)
     if direct != rot_v0:
         raise AssertionError(
             "field-relative rotation mismatch: direct %d vs decomposition %d"

@@ -30,6 +30,7 @@ from morsebook.front import cusp_counts, cylinder_class, front_class, lk_binding
 from morsebook.invariants import class_L0, class_L1_component, euler_class, rot_front
 from morsebook.lagrangian import (
     _field_windings,
+    _frame,
     _turning,
     _windings,
     band_pass_counts,
@@ -307,9 +308,10 @@ def test_criterion_8_lagrangian_decomposition(capsys):
         if any(band_pass_counts(p, c)):
             continue
         try:
-            w = _windings(p, c)
-            turning = _turning(c)
-            direct = turning - _field_windings(p, c)
+            fr = _frame(p, c)
+            w = _windings(fr)
+            turning = _turning(fr)
+            direct = turning - _field_windings(fr)
         except InvalidInput:
             continue
         assert turning == direct + w[0] - sum(w[1:])

@@ -145,6 +145,25 @@ def test_wrongly_typed_containers_are_parse_errors():
             parse_workspace(json.dumps(doc))
 
 
+def test_page_radius_must_be_positive(fixture_dir, capsys):
+    doc = json.loads((fixture_dir / "disk_s3_lagr.json").read_text())
+    target = fixture_dir / "radius.json"
+    for radius in ("-10", "0", "-1/2"):
+        doc["pages"]["disk"]["disc"]["radius"] = radius
+        target.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape("pages['disk'].disc.radius: must be positive")):
+            parse_workspace(target.read_text())
+        for argv in (["check", "--page", "disk"], ["tb", "--page", "disk", "--lagr", "unknot"]):
+            assert main([argv[0], str(target)] + argv[1:]) == 2
+            err = capsys.readouterr().err
+            assert err == "parse error: pages['disk'].disc.radius: must be positive\n"
+    # a positive radius that is not an integer still parses
+    doc["pages"]["disk"]["disc"]["radius"] = "21/2"
+    target.write_text(json.dumps(doc))
+    assert main(["tb", str(target), "--page", "disk", "--lagr", "unknot"]) == 0
+    assert "tb: -1" in capsys.readouterr().out
+
+
 def test_bad_version_is_an_error():
     doc = {"format": "morse-diagram/2", "binding_count": 1, "trace_pairs": []}
     with pytest.raises(ParseError, match="format"):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import importlib.util
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -655,10 +656,10 @@ def test_field_kernel_matches_the_fraction_kernel_on_every_ray():
     outcomes = {"int": 0, "None": 0}
     for page, c in _kernel_cases():
         along = _along_fraction(page)
-        edges, marked, _, _ = lagrangian._frame(page, c)
-        for comp, ints in zip(c.components, edges):
+        fr = lagrangian._frame(page, c)
+        for comp, ints in zip(c.components, fr.edges):
             fraction_edges = lagrangian._edges(comp)
-            fields = lagrangian._edge_fields(ints, marked[0], marked[1:])
+            fields = lagrangian._edge_fields(ints, fr.centre, fr.marked[1:])
             for rho, old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
                 want = _field_winding_ray_fraction(fraction_edges, along, old)
                 assert lagrangian._field_winding_ray(fields, rho) == want, (c.components, rho)
@@ -675,9 +676,9 @@ def test_field_kernel_matches_the_fraction_kernel_on_every_ray():
 def test_winding_rays_and_band_passes_match_the_fraction_kernels():
     outcomes = {"int": 0, "None": 0}
     for page, c in _kernel_cases():
-        edges, marked, _, _ = lagrangian._frame(page, c)
-        segs = [e for comp in edges for e in comp]
-        for m, q in zip(marked, page.marked_points):
+        fr = lagrangian._frame(page, c)
+        segs = [e for comp in fr.edges for e in comp]
+        for m, q in zip(fr.marked, page.marked_points):
             for rho, old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
                 want = _try_ray_fraction(c, q, old)
                 assert lagrangian._try_ray(segs, m, rho) == want, (c.components, q, rho)
@@ -685,7 +686,7 @@ def test_winding_rays_and_band_passes_match_the_fraction_kernels():
         assert _outcome(lambda c: band_pass_counts(page, c), c) == _outcome(
             lambda c: _band_pass_counts_fraction(page, c), c
         )
-        assert _outcome(lambda c: lagrangian._windings(page, c), c) == _outcome(
+        assert _outcome(lambda c: lagrangian._windings(fr), c) == _outcome(
             lambda c: _windings_fraction(page, c), c
         )
     assert min(outcomes.values()) > 0, outcomes
@@ -696,7 +697,7 @@ def test_field_polynomials_are_built_once_per_component(monkeypatch):
     c = LagrangianDiagram([[(3, 0), (1, 2), (-2, -1)], [(2, 3), (3, 3), (3, 4)]])
     built = _counting(monkeypatch, "_edge_fields")
     tried = _counting(monkeypatch, "_field_winding_ray")
-    lagrangian._field_windings(ONE_BAND, c)
+    lagrangian._field_windings(lagrangian._frame(ONE_BAND, c))
     assert len(built) == len(c.components)
     assert len(tried) > len(c.components)
 
@@ -728,3 +729,219 @@ def test_a_marked_point_on_the_line_of_an_edge_does_not_block_the_rays():
         assert winding_numbers(ONE_BAND, c) == want["windings"] == got.windings, curve
         assert (tb_writhe(ONE_BAND, c), got.rot) == (want["tb"], want["rot"]), curve
         assert _windings_fraction(ONE_BAND, c) == want["windings"], curve
+
+
+# --- the Fraction page tests, directions and validation: the oracle ---
+
+
+def _in_disc_fraction(p, v):
+    dx = v[0] - p.center[0]
+    dy = v[1] - p.center[1]
+    return dx * dx + dy * dy < p.radius * p.radius
+
+
+def _band_contains_fraction(band, v):
+    xs = [q[0] for q in band.corners]
+    ys = [q[1] for q in band.corners]
+    if not (min(xs) <= v[0] <= max(xs) and min(ys) <= v[1] <= max(ys)):
+        return False
+    return lagrangian._in_convex(band.corners, v)
+
+
+def _containing_pieces_fraction(p, v):
+    out = ["disc"] if _in_disc_fraction(p, v) else []
+    return out + [i for i, b in enumerate(p.bands) if _band_contains_fraction(b, v)]
+
+
+def _edge_dirs_fraction(comp):
+    n = len(comp)
+    return [sub(comp[(i + 1) % n], comp[i]) for i in range(n)]
+
+
+def _seg_dir_fraction(c, key):
+    ci, si = key
+    comp = c.components[ci]
+    return sub(comp[(si + 1) % len(comp)], comp[si])
+
+
+def _validate_fraction(p, c):
+    """The report's issues and the crossing list, all on Fractions."""
+    issues = []
+    critical = p.marked_points
+    for i, m in enumerate(critical):
+        if m in critical[:i]:
+            issues.append(("page", "two marked points coincide; perturb the bands"))
+    for ci, comp in enumerate(c.components):
+        loc = "component %d" % ci
+        if len(comp) < 3:
+            issues.append((loc, "component needs at least three vertices"))
+            continue
+        pieces = [set(_containing_pieces_fraction(p, v)) for v in comp]
+        issues += [(loc, "vertex %d outside the page" % i) for i, held in enumerate(pieces) if not held]
+        n = len(comp)
+        for i in range(n):
+            if comp[i] == comp[(i + 1) % n]:
+                issues.append((loc, "zero-length edge at vertex %d" % i))
+            elif not pieces[i] & pieces[(i + 1) % n]:
+                issues.append((loc, "segment %d leaves the page pieces" % i))
+        dirs = _edge_dirs_fraction(comp)
+        for i in range(n):
+            u, v = dirs[i], dirs[(i + 1) % n]
+            if det(u, v) == 0 and u[0] * v[0] + u[1] * v[1] < 0:
+                issues.append((loc, "tangent reversal at vertex %d" % ((i + 1) % n)))
+    if issues:
+        return issues, None
+    points = critical + [q for b in p.bands for q in b.corners]
+    for _, _, a, b in c.segments():
+        for m in points:
+            if lagrangian._on_segment(a, b, m):
+                issues.append(("page", "curve passes through a marked or corner point"))
+    try:
+        found = _all_pairs_crossings(c)
+    except InvalidInput as e:
+        return issues + [("crossings", str(e))], None
+    pts = [pt for _, _, pt in found]
+    issues += [("crossings", "triple point at %s" % (pt,)) for pt in dict.fromkeys(pts) if pts.count(pt) > 1]
+    keys = {frozenset([tuple(e["over"]), tuple(e["under"])]) for e in c.over_under}
+    if len(keys) != len(c.over_under):
+        issues.append(("crossings", "duplicate over/under entries"))
+    if keys != {frozenset([k1, k2]) for k1, k2, _ in found}:
+        issues.append(("crossings", "over/under table does not match the crossings"))
+    return issues, found
+
+
+def _turning_fraction(c):
+    total = 0
+    for comp in c.components:
+        dirs = _edge_dirs_fraction(comp)
+        ok = [rho for rho in FRACTION_RAYS if all(det(rho, d) != 0 for d in dirs)]
+        if not ok:
+            raise InvalidInput("could not select a reference direction")
+        total += lagrangian._direction_winding(dirs, ok[0])
+    return total
+
+
+def _writhe_fraction(p, c, found):
+    passes = _band_pass_counts_fraction(p, c)
+    if any(passes):
+        raise InvalidInput("curve is not null-homologous in the page: band passes %r" % (passes,))
+    total = 0
+    for e in c.over_under:
+        d_over = _seg_dir_fraction(c, tuple(e["over"]))
+        d_under = _seg_dir_fraction(c, tuple(e["under"]))
+        total += 1 if det(d_over, d_under) > 0 else -1
+    return total
+
+
+def _with_table(rng, c, found):
+    """``c`` with an over/under entry per crossing, each way at random."""
+    table = []
+    for k1, k2, _ in found:
+        over, under = (k1, k2) if rng.random() < 0.5 else (k2, k1)
+        table.append({"over": list(over), "under": list(under)})
+    return LagrangianDiagram(c.components, table)
+
+
+def _validation_cases():
+    """Seeded page projections, valid and broken, with tongues and circle vertices."""
+    rng = random.Random(2718)
+    cases = []
+    for _ in range(120):
+        page = random_page(rng)
+        c = random_lagrangian(rng, page)
+        _, found = _validate_fraction(page, c)
+        if found is not None and rng.random() < 0.8:
+            c = _with_table(rng, c, found)
+        cases.append((page, c))
+        comp = c.components[0]
+        i = rng.randrange(len(comp) - 1)
+        (x, y), (u, v) = comp[i], comp[i + 1]
+        broken = (
+            comp[:i] + [(x + 12, y)] + comp[i + 1:],  # outside the page
+            comp[:i] + [(x, y)] + comp[i:],  # a zero-length edge
+            comp[: i + 2] + [((x + u) / 2, (y + v) / 2)] + comp[i + 2:],  # a reversal
+            comp[:i] + [(F(5), F(1, 2))] + comp[i + 1:],  # on a band corner, if any
+        )
+        for curve in broken:
+            cases.append((page, LagrangianDiagram([curve] + c.components[1:], c.over_under)))
+    for depth in (F(3, 2), F(5, 4), F(7, 4)):
+        cases.append((ONE_BAND, LagrangianDiagram([band_tongue(ONE_BAND, 0, depth)])))
+    # vertices exactly on the disc circle, in no band and in a band that
+    # crosses the circle, on an integer and on a rational disc
+    outer = PageModel((0, 0), 10, [Band([(9, F(1, 2)), (9, -F(1, 2)), (12, -F(1, 2)), (12, F(1, 2))])])
+    odd = PageModel((F(1, 3), F(1, 2)), F(5, 2))
+    for page, curve in (
+        (ONE_BAND, [(10, 0), (3, 3), (3, -3)]),
+        (ONE_BAND, [(6, 8), (1, 1), (3, -1)]),
+        (outer, [(10, 0), (11, F(1, 4)), (11, -F(1, 4))]),
+        (outer, [(10, 0), (3, 3), (3, -3)]),
+        (odd, [(F(1, 3) + F(3, 2), F(1, 2) + 2), (0, 0), (1, 0)]),
+        (odd, [(F(1, 3) + F(3, 2) - F(1, 100), F(1, 2) + 2), (0, 0), (1, 0)]),
+    ):
+        cases.append((page, LagrangianDiagram([curve])))
+    return cases
+
+
+def test_validation_turning_and_writhe_match_the_fraction_oracle():
+    kinds = {}
+    for page, c in _validation_cases():
+        issues, found = _validate_fraction(page, c)
+        report, fr, got = lagrangian._validate(page, c)
+        assert (list(report), got) == (issues, found), (c.components, c.over_under)
+        for _, msg in issues:
+            kind = re.sub(r"\d+", "%d", msg)
+            kinds[kind] = kinds.get(kind, 0) + 1
+        if issues:
+            continue
+        kinds["valid"] = kinds.get("valid", 0) + 1
+        assert _outcome(lambda c: lagrangian._turning(fr), c) == _outcome(_turning_fraction, c)
+        assert _outcome(lambda c: tb_writhe(page, c), c) == _outcome(
+            lambda c: _writhe_fraction(page, c, found), c
+        )
+    # the sample reaches every first-pass issue, the page and crossing
+    # checks, and valid diagrams
+    for want in (
+        "vertex %d outside the page",
+        "segment %d leaves the page pieces",
+        "zero-length edge at vertex %d",
+        "tangent reversal at vertex %d",
+        "curve passes through a marked or corner point",
+        "over/under table does not match the crossings",
+        "valid",
+    ):
+        assert kinds.get(want, 0) > 3, (want, kinds)
+
+
+def test_vertices_on_the_disc_circle_are_outside_the_disc():
+    odd = PageModel((F(1, 3), F(1, 2)), F(5, 2))
+    on = (F(1, 3) + F(3, 2), F(1, 2) + 2)
+    assert not _in_disc_fraction(odd, on)
+    c = LagrangianDiagram([[on, (0, 0), (1, 0)]])
+    assert list(validate_lagrangian(odd, c)) == [
+        ("component 0", "vertex 0 outside the page"),
+        ("component 0", "segment 0 leaves the page pieces"),
+        ("component 0", "segment 2 leaves the page pieces"),
+    ]
+    fr = lagrangian._frame(odd, c)
+    assert lagrangian._pieces(fr, fr.edges[0][0][0]) == set()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "validate_lagrangian",
+        "tb_writhe",
+        "turning_number",
+        "winding_numbers",
+        "field_relative_turning",
+        "rot_lagrangian",
+        "band_pass_counts",
+        "diagram_crossings",
+    ],
+)
+def test_each_public_call_builds_the_frame_once(monkeypatch, name):
+    page, diag = disk_s3_lagr()
+    args = (diag,) if name == "diagram_crossings" else (page, diag)
+    built = _counting(monkeypatch, "_frame")
+    getattr(lagrangian, name)(*args)
+    assert len(built) == 1

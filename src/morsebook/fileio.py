@@ -2,13 +2,14 @@
 
 All formats are JSON documents with a versioned ``format`` field and
 rationals encoded as "p/q" strings.  Parsing is strict: unknown fields,
-malformed rationals, bad versions and dangling references are errors
-carrying the offending path.
+malformed rationals, booleans where integers are wanted, bad versions
+and dangling references are errors carrying the offending path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .diagram import MINUS, PLUS, MorseDiagram, Teleport, TraceCurve, TracePair
@@ -24,6 +25,9 @@ MOVES_FORMAT = "moves/1"
 REPORT_FORMAT = "report/1"
 RESOLUTION_FORMAT = "resolution/1"
 
+# an optional minus sign, ASCII digits, and an optional "/" with digits
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 class ParseError(ValueError):
     def __init__(self, path, message):
@@ -33,13 +37,21 @@ class ParseError(ValueError):
 
 def _rat(value, path):
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, "malformed rational %r" % (value,))
-    if isinstance(value, int):
+        if _RATIONAL.fullmatch(value):
+            num, _, den = value.partition("/")
+            try:
+                return Fraction(int(num), int(den or 1))
+            except (ValueError, ZeroDivisionError):  # more digits than int reads, or q = 0
+                pass
+        raise ParseError(path, "malformed rational %r" % (value,))
+    if _is_int(value):
         return Fraction(value)
     raise ParseError(path, "expected a rational string, got %r" % (value,))
+
+
+def _is_int(value):
+    """Whether a JSON value is an integer; booleans are not."""
+    return type(value) is int
 
 
 def _expect_keys(obj, required, optional, path):
@@ -48,7 +60,7 @@ def _expect_keys(obj, required, optional, path):
     for k in obj:
         if k not in required and k not in optional:
             raise ParseError(path, "unknown field %r" % (k,))
-    for k in required:
+    for k in sorted(required):
         if k not in obj:
             raise ParseError(path, "missing field %r" % (k,))
 
@@ -76,14 +88,14 @@ def parse_diagram(doc, path="diagram"):
         path,
     )
     _expect_format(doc, DIAGRAM_FORMAT, path)
-    if not isinstance(doc["binding_count"], int) or doc["binding_count"] < 1:
+    if not _is_int(doc["binding_count"]) or doc["binding_count"] < 1:
         raise ParseError(path + ".binding_count", "must be a positive integer")
     pairs = []
     ids = set()
     for i, p in enumerate(_list(doc["trace_pairs"], path + ".trace_pairs")):
         ppath = "%s.trace_pairs[%d]" % (path, i)
         _expect_keys(p, {"id", "plus", "minus"}, {"teleports"}, ppath)
-        if not isinstance(p["id"], int):
+        if not _is_int(p["id"]):
             raise ParseError(ppath + ".id", "must be an integer")
         ids.add(p["id"])
         plus = _parse_curve(p["plus"], ppath + ".plus")
@@ -96,9 +108,9 @@ def parse_diagram(doc, path="diagram"):
             )
             if t["side"] not in (PLUS, MINUS) or t["target_side"] not in (PLUS, MINUS):
                 raise ParseError(tpath, "sides must be 'plus' or 'minus'")
-            if t["orientation_sign"] not in (1, -1):
+            if not _is_int(t["orientation_sign"]) or t["orientation_sign"] not in (1, -1):
                 raise ParseError(tpath + ".orientation_sign", "must be +-1")
-            if not isinstance(t["target_pair"], int):
+            if not _is_int(t["target_pair"]):
                 raise ParseError(tpath + ".target_pair", "must be an integer")
             teleports.append(
                 Teleport(
@@ -133,7 +145,7 @@ def _parse_curve(strands_doc, path):
         for vi, triple in enumerate(strand):
             vpath = "%s[%d]" % (spath, vi)
             torus, x, t = _list(triple, vpath, 3, "[torus, x, t]")
-            if not isinstance(torus, int):
+            if not _is_int(torus):
                 raise ParseError(vpath, "torus must be an integer")
             tori.add(torus)
             pts.append((_rat(x, vpath), _rat(t, vpath)))
@@ -202,7 +214,7 @@ def parse_front(doc, path="front"):
         for vi, quad in enumerate(_list(comp["vertices"], cpath + ".vertices")):
             vpath = "%s.vertices[%d]" % (cpath, vi)
             torus, x, t, ann = _list(quad, vpath, 4, "[torus, x, t, annotation]")
-            if not isinstance(torus, int):
+            if not _is_int(torus):
                 raise ParseError(vpath, "torus must be an integer")
             tori.add(torus)
             xf, tf = _rat(x, vpath), _rat(t, vpath)
@@ -214,7 +226,7 @@ def parse_front(doc, path="front"):
                 and ann[0] == TELEPORT
                 and ann[2] in (PLUS, MINUS)
                 and ann[3] in (EXIT, ENTER)
-                and isinstance(ann[1], int)
+                and _is_int(ann[1])
             ):
                 verts.append(Vertex(xf, tf, TELEPORT, pair=ann[1], side=ann[2], role=ann[3]))
             else:
@@ -303,7 +315,7 @@ def parse_lagrangian(doc, path="lagr"):
             if (
                 not isinstance(ref, list)
                 or len(ref) != 2
-                or not all(isinstance(x, int) for x in ref)
+                or not all(_is_int(x) for x in ref)
             ):
                 raise ParseError(epath, "crossing references are [component, segment]")
             if not (0 <= ref[0] < len(comps)) or not (0 <= ref[1] < len(comps[ref[0]])):

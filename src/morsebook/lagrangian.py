@@ -10,8 +10,10 @@ is the winding around the critical points, index +1 at the centre
 source and -1 at each band saddle.
 
 All computations are exact: turning and winding numbers come from
-signed ray crossings, and the direct field-relative rotation uses
-Sturm chains on integer polynomials.
+signed ray crossings, and the direct field-relative rotation sums the
+Cauchy index of each edge's field against a reference direction, read
+off a signed remainder sequence of integer polynomials at the edge's
+two ends.
 
 Every public function builds one integer frame at entry, ``_frame``:
 the curve's edges, the marked points, the band arcs, the band corners,
@@ -452,8 +454,8 @@ def _try_ray(segs, m, rho):
 # --- the Morse field: a source at the centre, a saddle per band -------
 #
 # Polynomials are integer coefficient lists, lowest degree first.  Only
-# signs are read, so each is kept primitive, and a value at a rational
-# m/d is taken homogeneously, times d to the degree.
+# signs are read, so each is kept primitive, and only at s = 0 and s = 1:
+# the constant term and the coefficient sum.
 
 
 def _primitive(p):
@@ -465,89 +467,35 @@ def _primitive(p):
     return [x // g for x in p[:n]] if g > 1 else p[:n]
 
 
-def _at(p, x):
-    """p(x) times x's denominator to the degree of p: the sign of p(x)."""
-    m, d = x.numerator, x.denominator
-    acc, power = 0, 1
-    for coef in reversed(p):
-        acc = acc * m + coef * power
-        power *= d
-    return acc
-
-
-def _sturm_chain(p):
-    """The Sturm chain of the primitive p, each member primitive.
+def _remainders(p, q):
+    """The signed remainder sequence p, q, -rem(p, q), ..., each member primitive.
 
     Each remainder is the pseudo-remainder times |lc|^(delta+1) over its
     lc^(delta+1), negated: a positive multiple of minus the remainder.
     """
-    chain = [p, _primitive([i * x for i, x in enumerate(p)][1:] or [0])]
-    while any(chain[-1]) and len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
+    seq = [_primitive(p), _primitive(q)]
+    while any(seq[-1]) and len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
         lead, db = b[-1], len(b) - 1
+        steps = max(len(a) - db, 0)  # none when deg a < deg b: rem(a, b) = a
         r = list(a)
-        for _ in range(len(a) - db):
-            q = r.pop()
+        for _ in range(steps):
+            top = r.pop()
             shift = len(r) - db
             r = [lead * x for x in r]
             for i in range(db):
-                r[shift + i] -= q * b[i]
+                r[shift + i] -= top * b[i]
         if not any(r):
             break
-        sign = -1 if lead < 0 and (len(a) - db) % 2 else 1
-        chain.append(_primitive([-sign * x for x in r]))
-    return chain
+        sign = -1 if lead < 0 and steps % 2 else 1
+        seq.append(_primitive([-sign * x for x in r]))
+    return seq
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for p in chain:
-        v = _at(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(values):
+    """Sign changes along the sequence of values, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_in_open_interval(p, lo, hi):
-    """Isolated simple roots of p in (lo, hi), as isolating intervals.
-
-    Fails (returns None) when p has a multiple root there, detected via
-    a vanishing sign change or gcd considerations; the caller reselects
-    its ray.
-    """
-    if _at(p, lo) == 0 or _at(p, hi) == 0:
-        return None
-    chain = _sturm_chain(p)
-    count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if count == 0:
-        return []
-    stack = [(lo, hi, count)]
-    out = []
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 10000:
-            return None
-        a, b, k = stack.pop()
-        if k == 1 and _at(p, a) * _at(p, b) < 0:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _at(p, mid) == 0:
-            # split just off the root; if the root is multiple the
-            # counts will fail to settle and the guard trips
-            mid += (b - a) / (2 ** 10)
-            if _at(p, mid) == 0:
-                return None
-        ka = _sign_changes(chain, a) - _sign_changes(chain, mid)
-        kb = _sign_changes(chain, mid) - _sign_changes(chain, b)
-        if ka + kb != k or (k == 1 and _at(p, a) * _at(p, b) > 0):
-            return None
-        if ka:
-            stack.append((a, mid, ka))
-        if kb:
-            stack.append((mid, b, kb))
-    return sorted(out)
 
 
 def _edge_fields(edges, c0, saddles):
@@ -576,8 +524,8 @@ def field_relative_turning(p, c):
     """Rotation of the tangent against the Morse field, directly.
 
     Computed as turning(tangent) minus the exact winding of the field
-    direction along the curve, the latter by Sturm-counted crossings of
-    a reference direction.  Validates once at entry.
+    direction along the curve, the latter by Cauchy indices against a
+    reference direction.  Validates once at entry.
     """
     fr, _ = _checked(p, c)
     return _turning(fr) - _field_windings(fr)
@@ -596,39 +544,27 @@ def _field_windings(fr):
 
 
 def _field_winding_ray(fields, rho):
+    """Winding of the field (X, Y) along the closed curve against rho.
+
+    By Sturm-Tarski, the Cauchy index of Q/D over an edge, with
+    D = det(rho, V) and Q = dot(rho, V), is the sign variation of their
+    signed remainder sequence at s = 0 (the constant terms) minus that
+    at s = 1 (the coefficient sums).  Q/D jumps from -inf to +inf each
+    time V turns positively past rho or past -rho, so the indices sum to
+    twice the winding.  None when D vanishes at a vertex.
+    """
+    if any(rho[0] * im[0] == rho[1] * re[0] for re, im in fields):
+        return None  # field aligned with rho at a vertex
     total = 0
-    zero, one = Fraction(0), Fraction(1)
     for re, im in fields:
-        # det(rho, V(s)) and dot(rho, V(s))
-        dpol = _primitive([rho[0] * y - rho[1] * x for x, y in zip(re, im)])
-        qpol = [rho[0] * x + rho[1] * y for x, y in zip(re, im)]
-        if dpol[0] == 0:
-            return None  # field aligned with rho at a vertex
-        roots = _roots_in_open_interval(dpol, zero, one)
-        if roots is None:
-            return None
-        for lo, hi in roots:
-            # refine the isolating interval until the dot sign settles
-            for _ in range(128):
-                q_lo, q_hi = _at(qpol, lo), _at(qpol, hi)
-                if q_lo != 0 and q_hi != 0 and (q_lo > 0) == (q_hi > 0):
-                    break
-                mid = (lo + hi) / 2
-                v_mid = _at(dpol, mid)
-                if v_mid == 0:
-                    return None  # crossing exactly at a binary point
-                if (_at(dpol, lo) > 0) != (v_mid > 0):
-                    hi = mid
-                else:
-                    lo = mid
-            else:
-                return None
-            if q_lo < 0:
-                continue  # passes the opposite direction -rho
-            before = _at(dpol, lo)
-            after = _at(dpol, hi)
-            total += 1 if (before < 0 and after > 0) else -1
-    return total
+        seq = _remainders(
+            [rho[0] * y - rho[1] * x for x, y in zip(re, im)],
+            [rho[0] * x + rho[1] * y for x, y in zip(re, im)],
+        )
+        total += _variations([p[0] for p in seq]) - _variations([sum(p) for p in seq])
+    if total % 2:
+        raise AssertionError("odd Cauchy index %d of the field along a closed curve" % total)
+    return total // 2
 
 
 class LagrangianRotation:

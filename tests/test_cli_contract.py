@@ -17,8 +17,12 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from morsebook import cli
 from morsebook.cli import main
@@ -206,3 +210,21 @@ def test_cusp_between_two_vertical_segments_is_refused(tmp_path):
         codes = {}
         _run(argv, codes, argv[0])
         assert codes == {1: 1}, argv
+
+
+def test_parse_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "disk_s3_lagr.json").read_text())
+    doc["pages"]["disk"] = {}  # both required fields missing
+    target = tmp_path / "empty-page.json"
+    target.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; from morsebook.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        argv = [sys.executable, "-c", script, "check", str(target), "--page", "disk"]
+        runs.append(subprocess.run(argv, env=env, capture_output=True, timeout=60))
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr == b"parse error: pages['disk']: missing field 'disc'\n"

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -162,6 +163,79 @@ def test_page_radius_must_be_positive(fixture_dir, capsys):
     target.write_text(json.dumps(doc))
     assert main(["tb", str(target), "--page", "disk", "--lagr", "unknot"]) == 0
     assert "tb: -1" in capsys.readouterr().out
+
+
+def _fig5_workspace_doc():
+    """fig. 5 with its owner front, the disc page and the disc curve."""
+    page, lagr = fx.disk_s3_lagr()
+    w = Workspace(fx.fig5_diagram(), {"lambda": fx.fig5_lambda()}, {"disk": page}, {"c": lagr}, b"")
+    return json.loads(serialize_workspace(w))
+
+
+def _teleport_vertex(doc):
+    comp = doc["fronts"]["lambda"]["components"][0]
+    return next(v for v in comp["vertices"] if isinstance(v[3], list))
+
+
+def test_booleans_are_not_integers():
+    edits = {
+        "diagram.binding_count": lambda doc: doc.update(binding_count=True),
+        "trace_pairs[0].id": lambda doc: doc["trace_pairs"][0].update(id=True),
+        "teleports[0].target_pair": lambda doc: doc["trace_pairs"][0]["teleports"][0].update(
+            target_pair=True
+        ),
+        "teleports[0].orientation_sign": lambda doc: doc["trace_pairs"][0]["teleports"][0].update(
+            orientation_sign=True
+        ),
+        "plus[0][0]: torus": lambda doc: doc["trace_pairs"][0]["plus"][0][0].__setitem__(0, False),
+        "vertices[0]: torus": lambda doc: doc["fronts"]["lambda"]["components"][0]["vertices"][
+            0
+        ].__setitem__(0, False),
+        "bad annotation": lambda doc: _teleport_vertex(doc)[3].__setitem__(1, True),
+        "crossing references": lambda doc: doc["lagrangians"]["c"]["crossings"][0].update(
+            over=[False, 6]
+        ),
+        "expected a rational string, got True": lambda doc: doc["pages"]["disk"]["disc"].update(
+            radius=True
+        ),
+    }
+    for where, edit in edits.items():
+        doc = _fig5_workspace_doc()
+        edit(doc)
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_workspace(json.dumps(doc))
+
+
+def test_rationals_are_ascii_p_over_q():
+    good = {"-0": 0, "007/010": F(7, 10), "-3": -3, "12/8": F(3, 2), 5: 5}
+    bad = ("1.5", " 1/2 ", "+3/4", "3/-4", "1e3", "1_000", "\u0663/4", "1/0", "1/", "/2", "")
+    for value, want in list(good.items()) + [(v, None) for v in bad]:
+        doc = _fig5_workspace_doc()
+        doc["pages"]["disk"]["disc"]["center"][0] = value
+        if want is None:
+            with pytest.raises(ParseError, match=re.escape("malformed rational %r" % (value,))):
+                parse_workspace(json.dumps(doc))
+        else:
+            assert parse_workspace(json.dumps(doc)).pages["disk"].center[0] == want
+
+
+def test_boolean_decimal_and_padded_values_exit_2(fixture_dir, capsys):
+    doc = json.loads((fixture_dir / "disk_s3_lagr.json").read_text())
+    target = fixture_dir / "strict.json"
+    radius = "pages['disk'].disc.radius: malformed rational "
+    cases = (
+        ("binding_count", True, "diagram.binding_count: must be a positive integer"),
+        ("radius", "1.5", radius + "'1.5'"),
+        ("radius", " 1/2 ", radius + "' 1/2 '"),
+    )
+    for key, value, message in cases:
+        edited = json.loads(json.dumps(doc))
+        node = edited["pages"]["disk"]["disc"] if key == "radius" else edited
+        node[key] = value
+        target.write_text(json.dumps(edited))
+        for argv in (["homology"], ["tb", "--page", "disk", "--lagr", "unknot"]):
+            assert main([argv[0], str(target)] + argv[1:]) == 2, (key, value, argv)
+            assert capsys.readouterr().err == "parse error: %s\n" % message
 
 
 def test_bad_version_is_an_error():

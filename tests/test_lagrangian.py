@@ -1,6 +1,9 @@
 from fractions import Fraction as F
 
+import contextlib
 import importlib.util
+import io
+import json
 import math
 import random
 import re
@@ -8,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import band_tongue, random_lagrangian, random_page
+from conftest import band_tongue, random_lagrangian, random_page, star_polygon
 
 from morsebook import lagrangian
+from morsebook.cli import main
+from morsebook.fileio import lagr_doc, page_doc
 from morsebook.fixtures import disk_s3_lagr
 from morsebook.geometry import DegenerateGeometry, box_overlaps, det, segment_meet, sub
 from morsebook.lagrangian import (
@@ -461,53 +466,14 @@ def _primitive_fraction(p):
     return Poly([x // g for x in ints])
 
 
-def _sturm_chain_fraction(p):
-    chain = [_primitive_fraction(p), _primitive_fraction(p.deriv())]
-    while not chain[-1].is_zero() and len(chain[-1].c) > 1:
-        r = _poly_rem(chain[-2], chain[-1])
+def _remainders_fraction(p, q):
+    seq = [_primitive_fraction(p), _primitive_fraction(q)]
+    while not seq[-1].is_zero() and len(seq[-1].c) > 1:
+        r = _poly_rem(seq[-2], seq[-1])
         if r.is_zero():
             break
-        chain.append(_primitive_fraction(r.scale(-1)))
-    return chain
-
-
-def _sign_changes_fraction(chain, x):
-    signs = [1 if v > 0 else -1 for v in (p(x) for p in chain) if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_fraction(p, lo, hi):
-    if p(lo) == 0 or p(hi) == 0:
-        return None
-    chain = _sturm_chain_fraction(p)
-    count = _sign_changes_fraction(chain, lo) - _sign_changes_fraction(chain, hi)
-    if count == 0:
-        return []
-    stack = [(lo, hi, count)]
-    out = []
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 10000:
-            return None
-        a, b, k = stack.pop()
-        if k == 1 and p(a) * p(b) < 0:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            mid += (b - a) / (2 ** 10)
-            if p(mid) == 0:
-                return None
-        ka = _sign_changes_fraction(chain, a) - _sign_changes_fraction(chain, mid)
-        kb = _sign_changes_fraction(chain, mid) - _sign_changes_fraction(chain, b)
-        if ka + kb != k or (k == 1 and p(a) * p(b) > 0):
-            return None
-        if ka:
-            stack.append((a, mid, ka))
-        if kb:
-            stack.append((mid, b, kb))
-    return sorted(out)
+        seq.append(_primitive_fraction(r.scale(-1)))
+    return seq
 
 
 def _along_fraction(p):
@@ -531,36 +497,6 @@ def _along_fraction(p):
 def _dpol_fraction(along, a, b, rho):
     re, im = along(a, b)
     return im.scale(rho[0]) - re.scale(rho[1]), re.scale(rho[0]) + im.scale(rho[1])
-
-
-def _field_winding_ray_fraction(edges, along, rho):
-    total = 0
-    for a, b in edges:
-        dpol, qpol = _dpol_fraction(along, a, b, rho)
-        if dpol(F(0)) == 0:
-            return None
-        roots = _roots_fraction(dpol, F(0), F(1))
-        if roots is None:
-            return None
-        for lo, hi in roots:
-            for _ in range(128):
-                q_lo, q_hi = qpol(lo), qpol(hi)
-                if q_lo != 0 and q_hi != 0 and (q_lo > 0) == (q_hi > 0):
-                    break
-                mid = (lo + hi) / 2
-                v_mid = dpol(mid)
-                if v_mid == 0:
-                    return None
-                if (dpol(lo) > 0) != (v_mid > 0):
-                    hi = mid
-                else:
-                    lo = mid
-            else:
-                return None
-            if q_lo < 0:
-                continue
-            total += 1 if (dpol(lo) < 0 and dpol(hi) > 0) else -1
-    return total
 
 
 def _try_ray_fraction(c, m, rho):
@@ -614,12 +550,30 @@ def _windings_fraction(p, c):
         raise InvalidInput("curve is not null-homologous in the page: band passes %r" % (passes,))
     out = []
     for m in p.marked_points:
-        vals = [_try_ray_fraction(c, m, rho) for rho in FRACTION_RAYS]
-        found = [v for v in vals if v is not None]
-        if not found:
+        found = _first_ray_fraction(c, m)
+        if found is None:
             raise InvalidInput("no admissible ray around %r; perturb input" % (m,))
-        out.append(found[0])
+        out.append(found)
     return out
+
+
+def _first_ray_fraction(c, m):
+    """The winding of c about m on the first admissible ray, or None."""
+    vals = (_try_ray_fraction(c, m, rho) for rho in FRACTION_RAYS)
+    return next((v for v in vals if v is not None), None)
+
+
+def _argument_principle(page, comp):
+    """The winding of the Morse field along one component, or None when
+    the component runs through a marked point, where the field vanishes.
+
+    The field is (z - c0) times the conjugate of each z - c_j, so its
+    winding is the curve's winding about the centre c0 minus its
+    windings about the saddles c_j.
+    """
+    c = LagrangianDiagram([comp])
+    w = [_first_ray_fraction(c, m) for m in page.marked_points]
+    return None if None in w else w[0] - sum(w[1:])
 
 
 def _kernel_cases():
@@ -658,19 +612,32 @@ def test_field_kernel_matches_the_fraction_kernel_on_every_ray():
         along = _along_fraction(page)
         fr = lagrangian._frame(page, c)
         for comp, ints in zip(c.components, fr.edges):
-            fraction_edges = lagrangian._edges(comp)
+            for got in _field_kernel_on_every_ray(page, comp):
+                outcomes["None" if got is None else "int"] += 1
+            # the integer remainder sequence is the Fraction one, member by member
             fields = lagrangian._edge_fields(ints, fr.centre, fr.marked[1:])
-            for rho, old in zip(lagrangian._FALLBACK_RAYS, FRACTION_RAYS):
-                want = _field_winding_ray_fraction(fraction_edges, along, old)
-                assert lagrangian._field_winding_ray(fields, rho) == want, (c.components, rho)
-                outcomes["None" if want is None else "int"] += 1
-            # the integer Sturm chain is the Fraction one, member by member
-            for (a, b), (re, im) in zip(fraction_edges, fields):
-                dpol, _ = _dpol_fraction(along, a, b, FRACTION_RAYS[1])
-                rho = lagrangian._FALLBACK_RAYS[1]
-                ints = lagrangian._primitive([rho[0] * y - rho[1] * x for x, y in zip(re, im)])
-                assert lagrangian._sturm_chain(ints) == [q.c for q in _sturm_chain_fraction(dpol)]
+            rho = lagrangian._FALLBACK_RAYS[1]
+            for (a, b), (re, im) in zip(lagrangian._edges(comp), fields):
+                dpol, qpol = _dpol_fraction(along, a, b, FRACTION_RAYS[1])
+                seq = lagrangian._remainders(
+                    [rho[0] * y - rho[1] * x for x, y in zip(re, im)],
+                    [rho[0] * x + rho[1] * y for x, y in zip(re, im)],
+                )
+                assert seq == [q.c for q in _remainders_fraction(dpol, qpol)]
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_remainder_sequence_matches_the_fraction_one_on_any_degrees():
+    # the field polynomials rarely have deg D < deg Q - 1; random pairs do
+    rng = random.Random(9)
+    gaps = 0
+    for _ in range(300):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((-3, -1, 1, 2))]
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.choice((-2, -1, 1, 3))]
+        gaps += len(q) - len(p) >= 2 and q[-1] < 0
+        want = [r.c for r in _remainders_fraction(Poly(p), Poly(q))]
+        assert lagrangian._remainders(p, q) == want, (p, q)
+    assert gaps > 0
 
 
 def test_winding_rays_and_band_passes_match_the_fraction_kernels():
@@ -690,6 +657,69 @@ def test_winding_rays_and_band_passes_match_the_fraction_kernels():
             lambda c: _windings_fraction(page, c), c
         )
     assert min(outcomes.values()) > 0, outcomes
+
+
+TWO_BANDS = PageModel(
+    (0, 0),
+    10,
+    ONE_BAND.bands + [Band([(F(1, 2), 5), (-F(1, 2), 5), (-F(1, 2), 8), (F(1, 2), 8)])],
+)
+# a valid curve with no crossings; on segment 2, D = det((1, 0), V) has
+# one root, and Q = dot((1, 0), V) changes sign once before it and once
+# after it: Q < 0 at both ends of the edge and Q > 0 at the root, where
+# the field passes rho, not -rho
+SIGN_TWICE = [
+    (F(7, 50), F(269, 200)), (F(-181, 100), F(271, 100)), (F(7, 50), F(-1, 50)),
+    (F(-1153, 400), F(967, 400)), (F(-337, 100), F(889, 400)), (F(-997, 400), F(31, 10)),
+    (F(-227, 50), F(971, 200)), (F(-997, 400), F(1357, 400)), (F(-1231, 400), F(427, 100)),
+    (F(-11, 5), F(1357, 400)), (F(-89, 200), F(136, 25)), (F(-103, 100), F(1591, 400)),
+    (F(-71, 50), F(31, 10)),
+]
+
+
+def _field_kernel_on_every_ray(page, comp):
+    """The field winding of one component on every fallback ray, each
+    checked against the argument principle; none when the component
+    runs through a marked point."""
+    want = _argument_principle(page, comp)
+    if want is None:
+        return []
+    fr = lagrangian._frame(page, LagrangianDiagram([comp]))
+    fields = lagrangian._edge_fields(fr.edges[0], fr.centre, fr.marked[1:])
+    got = [lagrangian._field_winding_ray(fields, rho) for rho in lagrangian._FALLBACK_RAYS]
+    assert set(got) <= {None, want}, (comp, want, got)
+    return got
+
+
+def test_rot_lagr_on_a_curve_where_the_dot_sign_changes_twice(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "disk_s3_lagr.json").read_text())
+    doc["pages"]["disk"] = page_doc(TWO_BANDS)
+    doc["lagrangians"]["unknot"] = lagr_doc(LagrangianDiagram([SIGN_TWICE]))
+    target = tmp_path / "sign-twice.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["rot-lagr", str(target), "--page", "disk", "--lagr", "unknot", "--format", "json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert json.loads(out.getvalue())["result"] == {
+        "rot": -1, "L_dot_H": 0, "rot_V0": -1, "windings": [0, 0, 0]
+    }
+    assert _field_kernel_on_every_ray(TWO_BANDS, SIGN_TWICE)[0] == 0
+
+
+def test_field_kernel_matches_the_argument_principle_on_star_polygons():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(80):
+        page = rng.choice((ONE_BAND, TWO_BANDS))
+        centre = (F(rng.randint(-48, 48), 8), F(rng.randint(-48, 48), 8))
+        comp = star_polygon(rng, centre, F(rng.randint(4, 32), 8), ccw=rng.random() < 0.5)
+        if validate_lagrangian(page, LagrangianDiagram([comp])).ok:
+            checked += sum(got is not None for got in _field_kernel_on_every_ray(page, comp))
+    assert checked > 3000, checked
 
 
 def test_field_polynomials_are_built_once_per_component(monkeypatch):

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .diagram import h1_presentation, propagate_labels, validate_diagram
+from .diagram import h1_presentation, validate_diagram
 from .fileio import (
     REPORT_FORMAT,
     ParseError,
@@ -136,11 +136,7 @@ def cmd_resolve(args):
             json.dump(doc, handle, indent=1, sort_keys=True)
             handle.write("\n")
     if args.svg:
-        labeled = propagate_labels(w.diagram)
-        data = render_svg(
-            w.diagram, [f], resolution=res, labeled=labeled,
-            multiplicities=res.assignment,
-        )
+        data = render_svg(w.diagram, [f], resolution=res, multiplicities=res.assignment)
         with open(args.svg, "wb") as handle:
             handle.write(data)
     summary = {

@@ -168,7 +168,15 @@ def validate_diagram(d):
                     if x % 1 == 0:
                         report.add(loc, "vertex on the left-edge seam; perturb")
 
-    events = d.events()
+    # d.events() raises on a missing target pair, so report those first
+    # and skip the event checks
+    orphans = [
+        (pair.id, tp.t) for pair in d.trace_pairs for tp in pair.teleports
+        if tp.target_pair not in ids
+    ]
+    for pid, t in orphans:
+        report.add("pair %d teleport t=%s" % (pid, t), "teleport target pair does not exist")
+    events = [] if orphans else d.events()
     ts = [e.t for e in events]
     if len(set(ts)) != len(ts):
         report.add("diagram", "two handle slides share a t-value")
@@ -210,11 +218,7 @@ def validate_diagram(d):
                 continue
             exit_pt = slider.strands[strand_idx][-1]
             entry_pt = slider.strands[strand_idx + 1][0]
-            try:
-                tgt_pair = d.trace_pairs[d.pair_index(tp.target_pair)]
-            except KeyError:
-                report.add(loc, "teleport target pair does not exist")
-                continue
+            tgt_pair = d.trace_pairs[d.pair_index(tp.target_pair)]
             exit_curve = tgt_pair.curve(tp.target_side)
             entry_curve = tgt_pair.curve(MINUS if tp.target_side == PLUS else PLUS)
             if exit_curve.torus != slider.torus or entry_curve.torus != slider.torus:

@@ -7,6 +7,10 @@ curve enters the skeleton on one trace curve and re-emerges on its
 partner at the same page parameter.  Coordinates are lifted rationals;
 each component carries explicit integer closure offsets so windings in
 x and t are recorded exactly.
+
+One lift rule reads a component past either end of its vertex list:
+vertex ``i`` continues the list periodically, and each pass across the
+end adds the closure, so ``lifted(i + k*n) == lifted(i) + k*closure``.
 """
 
 from __future__ import annotations
@@ -76,31 +80,26 @@ class FrontComponent:
     def vertex(self, i):
         return self.vertices[i % len(self.vertices)]
 
+    def lifted(self, i):
+        """The point of vertex ``i mod n`` in the lift that continues the
+        list periodically: shifted by ``i // n`` times the closure."""
+        n = len(self.vertices)
+        if 0 <= i < n:
+            return self.vertices[i].point
+        k, j = divmod(i, n)
+        x, t = self.vertices[j].point
+        return (x + k * self.closure[0], t + k * self.closure[1])
+
     def neighbor_points(self, i):
         """Previous and next geometric points around vertex i (lift-corrected)."""
-        n = len(self.vertices)
-        prev = self.vertices[(i - 1) % n]
-        nxt = self.vertices[(i + 1) % n]
-        p = prev.point
-        q = nxt.point
-        if i == 0:
-            p = (p[0] - self.closure[0], p[1] - self.closure[1])
-        if i == n - 1:
-            q = (q[0] + self.closure[0], q[1] + self.closure[1])
-        return p, q
+        return self.lifted(i - 1), self.lifted(i + 1)
 
     def segments(self):
         """Oriented segments (i, a, b); teleport jumps are skipped."""
-        n = len(self.vertices)
-        for i in range(n):
-            v = self.vertices[i]
-            w = self.vertices[(i + 1) % n]
+        for i, v in enumerate(self.vertices):
             if v.kind == TELEPORT and v.role == EXIT:
                 continue  # the jump to the re-entry point is not drawn
-            b = w.point
-            if i == n - 1:
-                b = (b[0] + self.closure[0], b[1] + self.closure[1])
-            yield (i, v.point, b)
+            yield (i, v.point, self.lifted(i + 1))
 
     def reversed(self):
         verts = []
@@ -169,8 +168,7 @@ def validate_front(d, f):
         if not (0 <= comp.torus < d.binding_count):
             report.add(loc, "torus index out of range")
             continue
-        n = len(comp.vertices)
-        if n < 2:
+        if len(comp.vertices) < 2:
             report.add(loc, "component needs at least two vertices")
             continue
 
@@ -188,9 +186,7 @@ def validate_front(d, f):
                     continue
                 if v.side == w.side:
                     report.add(loc, "teleport must re-enter on the partner curve")
-                # across the end of the list the entry lies a t-closure on
-                w_t = w.t + comp.closure[1] if i == n - 1 else w.t
-                if v.t != w_t:
+                if v.t != comp.lifted(i + 1)[1]:
                     report.add(loc, "teleport exit and entry at different t")
             elif v.role == ENTER:
                 w = comp.vertex(i - 1)

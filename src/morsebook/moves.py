@@ -30,6 +30,7 @@ import math
 from fractions import Fraction
 
 from .diagram import MINUS, PLUS
+from .fileio import ParseError, _is_int, _rat
 from .front import (
     CUSP,
     ENTER,
@@ -41,7 +42,7 @@ from .front import (
     Vertex,
     validate_front,
 )
-from .geometry import DegenerateGeometry, _scaled, branch_side, cusp_direction, det
+from .geometry import DegenerateGeometry, _scaled, branch_side, cusp_direction, det, sub
 from .validation import InvalidInput
 
 
@@ -87,15 +88,10 @@ def _replace_component(f, ci, comp):
 
 
 def _segment_endpoints(comp, si):
-    n = len(comp.vertices)
     a = comp.vertices[si]
-    b = comp.vertices[(si + 1) % n]
     if a.kind == TELEPORT and a.role == EXIT:
         raise PatternNotFound("site addresses a teleport jump, not a segment")
-    b_pt = b.point
-    if si == n - 1:
-        b_pt = (b.x + comp.closure[0], b.t + comp.closure[1])
-    return a.point, b_pt
+    return a.point, comp.lifted(si + 1)
 
 
 def _insert_vertices(comp, si, new_vertices, shift=(0, 0)):
@@ -119,12 +115,11 @@ def _site_key(site, key):
 
 
 def _site_index(site, key, items):
-    """The index ``site[key]`` into ``items``, checked to be in range."""
-    value = _site_key(site, key)
-    try:
-        i = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise PatternNotFound("site %s %r is not an integer" % (key, value)) from None
+    """The index ``site[key]`` into ``items``, checked to be in range;
+    only a Python ``int`` is an index (no bool, float or string)."""
+    i = _site_key(site, key)
+    if not _is_int(i):
+        raise PatternNotFound("site %s %r is not an integer" % (key, i))
     if not 0 <= i < len(items):
         raise PatternNotFound("site %s %d is out of range" % (key, i))
     return i
@@ -136,11 +131,15 @@ def _site_component(f, site):
 
 
 def _site_fraction(site, key, default):
-    """``site[key]`` as a Fraction, or ``default`` when the key is absent."""
+    """``site[key]`` as a Fraction, or ``default`` when the key is absent.
+    Besides a Fraction, only what a workspace takes as a rational passes:
+    an int (not a bool) or an ASCII ``p/q`` string."""
     value = site.get(key, default)
+    if isinstance(value, Fraction):
+        return value
     try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return _rat(value, key)
+    except ParseError:
         raise PatternNotFound("site %s %r is not a rational" % (key, value)) from None
 
 
@@ -322,18 +321,11 @@ def _move_r1_inv(d, f, site):
     n = len(comp.vertices)
     if n < 6:
         raise PatternNotFound("component too small to carry a kink")
-    if any((i + k) % n == 0 for k in range(1, 4)):
-        raise PatternNotFound("kink wraps the list start; re-address the site")
-    quad = [comp.vertices[(i + k) % n] for k in range(4)]
-    if [v.kind for v in quad] != [PLAIN, CUSP, CUSP, PLAIN]:
+    if [comp.vertex(i + k).kind for k in range(4)] != [PLAIN, CUSP, CUSP, PLAIN]:
         raise PatternNotFound("site is not a kink (plain, cusp, cusp, plain)")
-    prev_v = comp.vertices[(i - 1) % n]
-    next_v = comp.vertices[(i + 4) % n]
-    p, q = quad[0].point, quad[3].point
-    d1 = (q[0] - p[0], q[1] - p[1])
-    d0 = (p[0] - prev_v.x, p[1] - prev_v.t)
-    d2 = (next_v.x - q[0], next_v.t - q[1])
-    if det(d0, d1) != 0 or det(d1, d2) != 0:
+    prev_pt, p, q, next_pt = (comp.lifted(i + k) for k in (-1, 0, 3, 4))
+    d1 = sub(q, p)
+    if det(sub(p, prev_pt), d1) != 0 or det(d1, sub(next_pt, q)) != 0:
         raise PatternNotFound("kink endpoints are not collinear with the strand")
     out = [v for k, v in enumerate(comp.vertices) if not (0 <= (k - i) % n < 4)]
     return _replace_component(f, ci, FrontComponent(comp.torus, out, comp.closure))

@@ -319,24 +319,15 @@ def _front_arcs(f):
                 ("closed", ci, [v.point for v in comp.vertices], comp.closure, comp.torus)
             )
             continue
-        n = len(comp.vertices)
-        for start in tele:
-            if comp.vertices[start].role != ENTER:
+        for enter in tele:
+            if comp.vertices[enter].role != ENTER:
                 continue
-            pts = [comp.vertices[start].point]
-            offset = (Fraction(0), Fraction(0))
-            i = start
-            while True:
-                j = (i + 1) % n
-                if j == 0:
-                    offset = (offset[0] + comp.closure[0], offset[1] + comp.closure[1])
-                v = comp.vertices[j]
-                pts.append((v.x + offset[0], v.t + offset[1]))
-                if v.kind == TELEPORT:
-                    if v.role != EXIT:
-                        raise AssertionError("enter vertex inside an arc")
-                    break
-                i = j
+            leave = enter + 1
+            while comp.vertex(leave).kind != TELEPORT:
+                leave += 1
+            if comp.vertex(leave).role != EXIT:
+                raise AssertionError("enter vertex inside an arc")
+            pts = [comp.lifted(j) for j in range(enter, leave + 1)]
             arcs.append(("open", ci, pts, None, comp.torus))
     return arcs
 
@@ -404,11 +395,7 @@ def _node_list(d, f, assignment):
         comp = f.components[ep.component]
         vi = ep.vertex_index
         v = comp.vertices[vi]
-        if v.role == EXIT:
-            hint_v = comp.vertex(vi - 1)
-        else:
-            hint_v = comp.vertex(vi + 1)
-        hint = (hint_v.x - v.x, hint_v.t - v.t)
+        hint = sub(comp.lifted(vi - 1 if v.role == EXIT else vi + 1), v.point)
         nodes.append(
             _Node("front", (ep.pair_id, ep.side), ep.t, curve.x_at(ep.t), curve.torus, ep, hint)
         )

@@ -88,7 +88,7 @@ def _path(chart, points, color, width, dash=None):
     return out
 
 
-def render_svg(d, fronts=(), resolution=None, labeled=None, multiplicities=None):
+def render_svg(d, fronts=(), resolution=None, multiplicities=None):
     """Draw the diagram with optional fronts and overlays, byte-stable."""
     width = MARGIN + d.binding_count * (CHART + MARGIN)
     height = CHART + 2 * MARGIN
@@ -119,24 +119,15 @@ def render_svg(d, fronts=(), resolution=None, labeled=None, multiplicities=None)
     for f in fronts:
         for comp in f.components:
             chart = charts[comp.torus]
-            pts = [v.point for v in comp.vertices]
             runs = []
             run = []
-            for i, v in enumerate(comp.vertices):
+            for v in comp.vertices:
                 run.append(v.point)
                 if v.kind == "teleport" and v.role == "exit":
                     runs.append(run)
                     run = []
             if run:
-                closing = (
-                    pts[0][0] + comp.closure[0],
-                    pts[0][1] + comp.closure[1],
-                )
-                if comp.vertices[-1].kind == "teleport" and comp.vertices[-1].role == "exit":
-                    runs.append(run)
-                else:
-                    run.append(closing)
-                    runs.append(run)
+                runs.append(run + [comp.lifted(len(comp))])
             for r in runs:
                 if len(r) >= 2:
                     parts.extend(_path(chart, r, "#111111", 2))

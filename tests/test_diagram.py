@@ -20,7 +20,7 @@ from morsebook.diagram import (
     validate_diagram,
     vertical_line_class_sum,
 )
-from morsebook.fixtures import disk_s3, fig1_torus, fig6_annulus
+from morsebook.fixtures import disk_s3, fig1_torus, fig5_diagram, fig6_annulus
 from morsebook.geometry import DegenerateGeometry, segment_meet_torus
 
 
@@ -34,6 +34,15 @@ def test_fig1_is_valid():
 
 def test_fig6_is_valid():
     assert validate_diagram(fig6_annulus()).ok
+
+
+def test_missing_teleport_target_is_reported_not_raised():
+    d = fig5_diagram()
+    pair = next(p for p in d.trace_pairs if p.teleports)
+    tp = pair.teleports[0]
+    tp.target_pair = 99
+    report = validate_diagram(d)
+    assert ("pair %d teleport t=%s" % (pair.id, tp.t), "teleport target pair does not exist") in report.issues
 
 
 def test_broken_closure_is_reported():

@@ -143,6 +143,21 @@ def test_crossing_report_is_component_order_independent():
     assert pts1 == pts2
 
 
+def test_lifted_adds_the_closure_once_per_turn():
+    rng = random.Random(24)
+    wrapped = 0
+    for d, f in ((disk_s3(), disk_s3_unknot()), (fig1_torus(), fig5_lambda())):
+        for g in move_walk(rng, d, f, 16):
+            for comp in g.components:
+                n, (cx, ct) = len(comp), comp.closure
+                wrapped += comp.closure != (0, 0)
+                for i, v in enumerate(comp.vertices):
+                    assert comp.lifted(i) == v.point
+                    for k in (-1, 0, 1, 2):
+                        assert comp.lifted(i + k * n) == (v.x + k * cx, v.t + k * ct)
+    assert wrapped  # the k2 steps of the walks wrap the fronts
+
+
 def test_lk_binding_zero_inside_cylinder():
     assert lk_binding(diamond()) == 0
 

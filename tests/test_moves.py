@@ -156,6 +156,40 @@ def test_k3_exchanges_poke_for_teleports():
     assert rot_front(d, out).rot == rot_front(d, poked).rot
 
 
+def _started_at(comp, r):
+    """The same closed curve with its vertex list started at vertex r;
+    a vertex taken across the end of the list moves by the closure."""
+    n = len(comp.vertices)
+    verts = []
+    for j in range(r, r + n):
+        turns, i = divmod(j, n)
+        verts.append(comp.vertices[i].shifted(turns * comp.closure[0], turns * comp.closure[1]))
+    return FrontComponent(comp.torus, verts, comp.closure)
+
+
+def _cyclic_mod_1(front):
+    return [(v.x % 1, v.t % 1, v.kind) for v in front.components[0].vertices]
+
+
+@pytest.mark.parametrize("start", [0, -1, -2, -3], ids=["0", "n-1", "n-2", "n-3"])
+def test_r1_inv_removes_a_kink_at_or_across_the_list_start(start):
+    d = disk_s3()
+    wrap = {"component": 0, "segment": 0, "u": F(1, 2), "variant": "left"}
+    f = apply_move(d, disk_s3_unknot(), "k2", wrap)
+    kinked = apply_move(d, f, "r1", {"component": 0, "segment": 3, "u": F(1, 2)})
+    comp = kinked.components[0]
+    assert comp.closure == (-1, 0)
+    # the kink starts at vertex 4; away from the list start it comes out
+    plain = apply_move(d, kinked, "r1_inv", {"component": 0, "vertex": 4})
+    vertex = start % len(comp)
+    moved = FrontProjection([_started_at(comp, 4 - vertex)])
+    out = apply_move(d, moved, "r1_inv", {"component": 0, "vertex": vertex})
+    ref, got = _cyclic_mod_1(plain), _cyclic_mod_1(out)
+    assert any(got == ref[r:] + ref[:r] for r in range(len(ref)))
+    assert out.components[0].closure == plain.components[0].closure
+    assert rot_front(d, out).rot == rot_front(d, plain).rot
+
+
 def test_pattern_not_found_on_bad_sites():
     d = disk_s3()
     f = disk_s3_unknot()
@@ -173,6 +207,10 @@ def test_pattern_not_found_on_bad_sites():
         ({}, 1, "error: site has no 'component'"),
         (5, 2, "parse error: moves.steps[0].site: expected an object"),
         ({"component": 0, "segment": 9}, 1, "error: site segment 9 is out of range"),
+        ({"component": 0, "segment": 0.9}, 1, "error: site segment 0.9 is not an integer"),
+        ({"component": True, "segment": 0}, 1, "error: site component True is not an integer"),
+        ({"component": 0, "segment": 0, "u": " 1/2 "}, 1, "error: site u ' 1/2 ' is not a rational"),
+        ({"component": 0, "segment": 0, "u": 0.5}, 1, "error: site u 0.5 is not a rational"),
     ],
 )
 def test_malformed_sites_end_in_a_one_line_error(tmp_path, site, code, message):
@@ -195,6 +233,10 @@ def test_malformed_sites_end_in_a_one_line_error(tmp_path, site, code, message):
         ("r1", {"component": 0, "segment": 0, "u": "1/0"}, "u '1/0' is not a rational"),
         ("stabilize", {"component": 0, "segment": 0, "variant": []}, "variant"),
         ("cusp_trace", {"component": 0, "vertex": 0, "pair": 1}, "site has no 'side'"),
+        ("r1", {"component": 0, "segment": 0.9}, "segment 0.9 is not an integer"),
+        ("r1", {"component": True, "segment": 0}, "component True is not an integer"),
+        ("r1", {"component": 0, "segment": 0, "u": " 1/2 "}, "u ' 1/2 ' is not a rational"),
+        ("r1", {"component": 0, "segment": 0, "u": 0.5}, "u 0.5 is not a rational"),
     ],
 )
 def test_malformed_site_values_are_pattern_errors(move, site, message):

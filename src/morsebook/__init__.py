@@ -16,7 +16,6 @@ from .diagram import (
     TracePair,
     h1_presentation,
     propagate_labels,
-    reduce_class,
     validate_diagram,
 )
 from .front import (
@@ -76,7 +75,6 @@ __all__ = [
     "validate_diagram",
     "propagate_labels",
     "h1_presentation",
-    "reduce_class",
     "FrontProjection",
     "FrontComponent",
     "Vertex",

@@ -16,7 +16,6 @@ from .abelian import AbelianGroup
 from .geometry import (
     eval_piecewise,
     integer_crossings,
-    param_at_value,
     torus_meets,
 )
 from .validation import ValidationReport
@@ -287,66 +286,52 @@ def _is_contact(contacts, torus, segs):
 
 
 class LabelVector:
-    """Integer combination of the core generators, plus an optional P_i marker."""
+    """Integer combination of the core generators."""
 
-    __slots__ = ("coeffs", "marker")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, marker=None):
+    def __init__(self, coeffs):
         self.coeffs = tuple(int(c) for c in coeffs)
-        self.marker = marker
 
     @classmethod
     def unit(cls, k, j):
         return cls(tuple(1 if i == j else 0 for i in range(k)))
 
     @classmethod
-    def zero(cls, k, marker=None):
-        return cls((0,) * k, marker)
+    def zero(cls, k):
+        return cls((0,) * k)
 
     def plus(self, other, scale=1):
-        if self.marker is not None and other.marker is not None:
-            raise ValueError("cannot add two marked labels")
-        marker = self.marker if self.marker is not None else other.marker
-        return LabelVector(
-            tuple(a + scale * b for a, b in zip(self.coeffs, other.coeffs)), marker
-        )
+        return LabelVector(tuple(a + scale * b for a, b in zip(self.coeffs, other.coeffs)))
 
     def minus(self, other):
-        if self.marker != other.marker:
-            raise ValueError("marker mismatch in label difference")
-        return LabelVector(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), None
-        )
+        return self.plus(other, -1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LabelVector)
-            and self.coeffs == other.coeffs
-            and self.marker == other.marker
-        )
+        return isinstance(other, LabelVector) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.marker))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        if self.marker is None:
-            return "LabelVector%r" % (self.coeffs,)
-        return "LabelVector(%r, P%d)" % (self.coeffs, self.marker)
+        return "LabelVector%r" % (self.coeffs,)
 
 
 class LabeledDiagram:
-    """A Morse diagram with propagated trace-curve and edge labels.
+    """A Morse diagram with propagated trace-curve labels.
 
     ``pair_labels``: per pair, list of (t_from, t_to, LabelVector), the
     common label of both curves of the pair on that t-range.
-    ``edge_labels``: per torus, list of (t_from, t_to, LabelVector with
-    P marker).  ``edge_diffs``: top minus bottom label per torus.
+    ``edge_diffs``: per torus, the left edge's top label minus its
+    bottom label, which is the seam line's sum: the signed label sum
+    of the trace strands crossing x = 0.
     """
 
-    def __init__(self, diagram, pair_labels, edge_labels):
+    def __init__(self, diagram, pair_labels):
         self.diagram = diagram
         self.pair_labels = pair_labels
-        self.edge_labels = edge_labels
+        tori = range(diagram.binding_count)
+        self.edge_diffs = list(vertical_line_class_sums(self, 0, tori).values())
 
     def pair_label_at(self, pair_index, t):
         for t0, t1, lab in self.pair_labels[pair_index]:
@@ -357,100 +342,56 @@ class LabeledDiagram:
     def top_label(self, pair_index):
         return self.pair_labels[pair_index][-1][2]
 
-    @property
-    def edge_diffs(self):
-        return [
-            spans[-1][2].minus(spans[0][2]) for spans in self.edge_labels
-        ]
-
 
 def propagate_labels(d):
-    """Run the teleport and edge label rules up the diagram.
+    """Run the teleport label rule up the diagram.
 
     The sliding curve keeps its label; the crossed pair's label gains
-    (orientation sign) times the slider's label above the event.  Left
-    edges start at P_i and change by the signed label of each trace
-    strand crossing the seam, the sign being the transverse crossing
-    sign of the oriented curve with the upward edge.
+    (orientation sign) times the slider's label above the event.  The
+    left edges carry no labels of their own: each edge difference is
+    the seam line's sum, ``vertical_line_class_sums`` at x = 0.
     """
     report = validate_diagram(d)
     report.raise_if_invalid("diagram")
     k = d.k
-    current = [LabelVector.unit(k, j) for j in range(k)]
-    histories = [[(Fraction(0), None, current[j])] for j in range(k)]
-
+    pair_labels = [[(Fraction(0), Fraction(1), LabelVector.unit(k, j))] for j in range(k)]
     for e in d.events():
-        tgt = e.target[0]
-        new_label = current[tgt].plus(current[e.slider[0]], e.sign)
-        histories[tgt][-1] = (histories[tgt][-1][0], e.t, current[tgt])
-        histories[tgt].append((e.t, None, new_label))
-        current[tgt] = new_label
+        spans = pair_labels[e.target[0]]
+        t0, _, label = spans[-1]
+        slider_label = pair_labels[e.slider[0]][-1][2]
+        spans[-1] = (t0, e.t, label)
+        spans.append((e.t, Fraction(1), label.plus(slider_label, e.sign)))
+    return LabeledDiagram(d, pair_labels)
 
-    pair_labels = []
-    for j in range(k):
-        spans = [
-            (t0, t1 if t1 is not None else Fraction(1), lab)
-            for (t0, t1, lab) in histories[j]
-        ]
-        pair_labels.append(spans)
 
-    # seam crossings, per torus, in t order
-    crossings = [[] for _ in range(d.binding_count)]
+def vertical_line_class_sums(labeled, x_line, tori):
+    """Signed label sums of trace-curve crossings with a vertical line.
+
+    Returns {torus: LabelVector} for each torus in ``tori``, in their
+    order.  The line {x = x_line} and its lattice translates are counted
+    against every oriented, labeled trace curve on the torus: a strand
+    crossing the upward line adds its pair's label at the crossing
+    height, times LINE_CROSSING_SIGN, the curve's vertical orientation
+    and the crossing direction.  At x = 0 the sum is the left edge's
+    difference; other lines give the index-1 link classes.
+    """
+    d = labeled.diagram
+    totals = dict.fromkeys(tori, LabelVector.zero(d.k))
     for pi, side, curve in d.curves():
-        orient = curve_orientation(side)
+        if curve.torus not in totals:
+            continue
+        orient = LINE_CROSSING_SIGN * curve_orientation(side)
         for _, a, b in curve.segments():
-            for n, direction in integer_crossings(a[0], b[0]):
-                s = param_at_value(a[0], b[0], Fraction(n))
-                t_c = a[1] + s * (b[1] - a[1])
-                sign = LINE_CROSSING_SIGN * orient * direction
-                crossings[curve.torus].append((t_c, sign, pi))
-
-    edge_labels = []
-    for torus in range(d.binding_count):
-        label = LabelVector.zero(k, marker=torus)
-        spans = [(Fraction(0), None, label)]
-        for t_c, sign, pi in sorted(crossings[torus]):
-            inc = _label_at(histories[pi], t_c)
-            new = label.plus(inc, sign)
-            spans[-1] = (spans[-1][0], t_c, label)
-            spans.append((t_c, None, new))
-            label = new
-        spans = [
-            (t0, t1 if t1 is not None else Fraction(1), lab) for (t0, t1, lab) in spans
-        ]
-        edge_labels.append(spans)
-
-    return LabeledDiagram(d, pair_labels, edge_labels)
-
-
-def _label_at(history, t):
-    lab = history[0][2]
-    for t0, t1, label in history:
-        if t0 <= t:
-            lab = label
-    return lab
+            for n, direction in integer_crossings(a[0] - x_line, b[0] - x_line):
+                s = Fraction(x_line + n - a[0], b[0] - a[0])
+                lab = labeled.pair_label_at(pi, a[1] + s * (b[1] - a[1]))
+                totals[curve.torus] = totals[curve.torus].plus(lab, orient * direction)
+    return totals
 
 
 def vertical_line_class_sum(labeled, torus, x_line):
-    """Signed label sum of trace-curve crossings with a vertical line.
-
-    The line {x = x_line} on the given torus is counted against every
-    oriented, labeled trace curve with the same sign rule as the left
-    edge; used for the index-1 link classes.
-    """
-    d = labeled.diagram
-    total = LabelVector.zero(d.k)
-    for pi, side, curve in d.curves():
-        if curve.torus != torus:
-            continue
-        orient = curve_orientation(side)
-        for _, a, b in curve.segments():
-            for n, direction in integer_crossings(a[0] - x_line, b[0] - x_line):
-                s = param_at_value(a[0], b[0], x_line + Fraction(n))
-                t_c = a[1] + s * (b[1] - a[1])
-                lab = labeled.pair_label_at(pi, t_c)
-                total = total.plus(lab, LINE_CROSSING_SIGN * orient * direction)
-    return total
+    """The one-torus entry of ``vertical_line_class_sums``."""
+    return vertical_line_class_sums(labeled, x_line, (torus,))[torus]
 
 
 def h1_presentation(d, labeled=None):
@@ -476,7 +417,3 @@ def h1_presentation(d, labeled=None):
     relations = [r for r in relations if any(r)]
     return AbelianGroup(k, relations)
 
-
-def reduce_class(group, vector):
-    """Canonical coordinates of an integer vector in the presented group."""
-    return group.reduce(vector)

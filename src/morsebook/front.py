@@ -196,10 +196,8 @@ def validate_front(d, f):
                 report.add(loc, "teleport vertex without exit/enter role")
 
         # slope constraint and vertex-local structure
-        segs = dict((i, (a, b)) for i, a, b in comp.segments())
-        for i, (a, b) in segs.items():
-            dx = b[0] - a[0]
-            dt = b[1] - a[1]
+        dirs = {i: sub(b, a) for i, a, b in comp.segments()}
+        for i, (dx, dt) in dirs.items():
             if dx == 0 and dt == 0:
                 report.add(loc, "zero-length segment at vertex %d" % i)
                 continue
@@ -228,6 +226,8 @@ def validate_front(d, f):
                 report.add(loc, "cusp vertex %d does not reverse x-direction" % i)
             elif v.kind == CUSP and prev_pt[0] == v.point[0] == next_pt[0]:
                 report.add(loc, "cusp vertex %d between two vertical segments" % i)
+            elif v.kind == CUSP and det(dirs[(i - 1) % len(comp.vertices)], dirs[i]) == 0:
+                report.add(loc, "cusp vertex %d has collinear branches" % i)
             if v.kind == PLAIN and side_in == side_out:
                 report.add(loc, "plain vertex %d reverses x-direction" % i)
 

@@ -314,13 +314,6 @@ def integer_crossings(c1, c2):
     return [(n, sign) for n in ns]
 
 
-def param_at_value(c1, c2, value):
-    """Parameter s in [0,1] with c1 + s*(c2-c1) == value."""
-    if c1 == c2:
-        raise DegenerateGeometry("constant coordinate")
-    return Fraction(value - c1, c2 - c1)
-
-
 def eval_piecewise(points, t):
     """Value x(t) of the piecewise-linear graph through ``points``.
 

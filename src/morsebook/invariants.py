@@ -118,8 +118,8 @@ def class_L1_component(d, pair_id, labeled=None, group=None, side=1):
     return group.reduce(vec.coeffs)
 
 
-def class_L0(d, component=0, labeled=None, group=None):
-    """Class of the index-0 critical circle, from one left edge.
+def class_L0(d, labeled=None, group=None):
+    """Class of the index-0 critical circle: the reduced edge difference.
 
     The edge difference of every binding component must reduce to the
     same element; a mismatch is an internal consistency failure.
@@ -135,7 +135,7 @@ def class_L0(d, component=0, labeled=None, group=None):
             raise AssertionError(
                 "edge differences disagree between components 0 and %d" % i
             )
-    return reduced[component]
+    return reduced[0]
 
 
 class EulerReport:
@@ -185,7 +185,7 @@ def euler_class(d):
     """
     labeled = propagate_labels(d)
     group = h1_presentation(d, labeled)
-    l0 = class_L0(d, 0, labeled, group)
+    l0 = class_L0(d, labeled, group)
     l1s = [
         (pair.id, class_L1_component(d, pair.id, labeled, group))
         for pair in d.trace_pairs

@@ -84,7 +84,7 @@ def test_criterion_1_figure7_homology_and_euler(fixture_dir, capsys):
 
     rep = euler_class(d)
     assert rep.total.is_zero()
-    assert class_L0(d, 0, lab, g).is_zero()
+    assert class_L0(d, lab, g).is_zero()
     assert class_L1_component(d, 1, lab, g).is_zero()
     assert class_L1_component(d, 2, lab, g).is_zero()
     for _, reduced in rep.reduced_checks:

@@ -212,6 +212,27 @@ def test_cusp_between_two_vertical_segments_is_refused(tmp_path):
         assert codes == {1: 1}, argv
 
 
+def test_cusp_with_collinear_branches_is_refused(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "fig5.json").read_text())
+    # both branches of cusp vertex 2 now have slope -1/8 and overlap
+    doc["fronts"]["lambda_prime"]["components"][0]["vertices"][1][1] = "3/64"
+    target = tmp_path / "collinear-cusp.json"
+    target.write_text(json.dumps(doc))
+    issue = "cusp vertex 2 has collinear branches (component 0)"
+    runs = []
+    for argv in (["check", str(target), "--format", "json"], ["rot", str(target), "--front", "lambda_prime"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(argv), out.getvalue(), err.getvalue()))
+    (check, report, check_err), (rot, rot_out, message) = runs
+    assert (check, check_err) == (1, "")
+    assert json.loads(report)["result"]["issues"] == ["front lambda_prime: " + issue]
+    assert (rot, rot_out) == (1, "")
+    assert message == "error: front invalid: %s; 1 issue(s) total\n" % issue
+
+
 def test_parse_messages_do_not_depend_on_the_hash_seed(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["fixtures", "--dir", str(tmp_path)]) == 0

@@ -1,7 +1,8 @@
 """Golden CLI reports on the bundled fixtures.
 
 Each run calls ``main`` in-process on a file written by ``morsebook
-fixtures`` and hashes what a user sees: the exit code, standard output,
+fixtures`` (a ``moves`` run also on a one-step script written just
+before it) and hashes what a user sees: the exit code, standard output,
 standard error and every file the run writes.  The table holds the
 first 16 hex digits of each SHA-256.  A change that moves any of these
 bytes must say so and regenerate the table:
@@ -21,6 +22,7 @@ import sys
 import pytest
 
 from morsebook.cli import main
+from morsebook.fileio import MOVES_FORMAT
 
 FRONTS = {
     "disk_s3.json": ("unknot",),
@@ -29,27 +31,52 @@ FRONTS = {
     "fig5.json": ("lambda", "lambda_prime"),
     "fig6_annulus.json": (),
 }
+# one-step move scripts: per front, a segment and a cusp vertex that
+# every move below accepts
+MOVE_SITES = {"unknot": (0, 2), "lambda": (1, 1), "lambda_prime": (0, 2)}
+MOVES = (
+    ("r1", None), ("stabilize", "up"), ("stabilize", "down"), ("k2", "left"),
+    ("k2", "right"), ("b1", "down"), ("b1", "up"), ("s1", None),
+)
+
+
+def _move_script(front, move, variant):
+    segment, cusp = MOVE_SITES[front]
+    site = {"component": 0, "segment": segment}
+    if move == "s1":
+        site = {"component": 0, "vertex": cusp}
+    if variant is not None:
+        site["variant"] = variant
+    return {"format": MOVES_FORMAT, "steps": [{"move": move, "site": site}]}
 
 
 def _runs():
-    """(label, argv, files written) for every golden run."""
+    """(label, argv, files written, {script file: document}) for every
+    golden run."""
     out = []
     for ws in sorted(FRONTS):
         for cmd in ("check", "homology", "euler"):
-            out.append(("%s %s" % (cmd, ws), [cmd, ws, "--format", "json"], ()))
-        out.append(("render %s" % ws, ["render", ws, "-o", "out.svg"], ("out.svg",)))
+            out.append(("%s %s" % (cmd, ws), [cmd, ws, "--format", "json"], (), {}))
+        out.append(("render %s" % ws, ["render", ws, "-o", "out.svg"], ("out.svg",), {}))
         for front in FRONTS[ws]:
             for fmt in ("json", "text"):
                 argv = ["rot", ws, "--front", front, "--format", fmt]
-                out.append(("rot %s %s %s" % (ws, front, fmt), argv, ()))
+                out.append(("rot %s %s %s" % (ws, front, fmt), argv, (), {}))
             argv = ["resolve", ws, "--front", front, "--out", "res.json", "--svg", "res.svg"]
-            out.append(("resolve %s %s" % (ws, front), argv, ("res.json", "res.svg")))
+            out.append(("resolve %s %s" % (ws, front), argv, ("res.json", "res.svg"), {}))
             for overlay in ("resolution", "multiplicities"):
                 argv = ["render", ws, "--front", front, "--overlay", overlay, "-o", "out.svg"]
-                out.append(("render %s %s %s" % (ws, front, overlay), argv, ("out.svg",)))
+                out.append(("render %s %s %s" % (ws, front, overlay), argv, ("out.svg",), {}))
+            for move, variant in MOVES:
+                label = " ".join(w for w in ("moves", ws, front, move, variant) if w)
+                script = {"script.json": _move_script(front, move, variant)}
+                argv = ["moves", ws, "--front", front, "--script", "script.json", "-o", "out.json"]
+                out.append((label, argv, ("out.json",), script))
     for cmd in ("tb", "rot-lagr"):
         argv = [cmd, "disk_s3_lagr.json", "--page", "disk", "--lagr", "unknot", "--format", "json"]
-        out.append(("%s disk_s3_lagr.json" % cmd, argv, ()))
+        out.append(("%s disk_s3_lagr.json" % cmd, argv, (), {}))
+    argv = ["check", "disk_s3_lagr.json", "--page", "disk", "--format", "json"]
+    out.append(("check disk_s3_lagr.json --page disk", argv, (), {}))
     return out
 
 
@@ -91,11 +118,40 @@ GOLDEN = {
     "render fig6_annulus.json": "5c0ce1a7887b31de",
     "tb disk_s3_lagr.json": "db23599f1c6e01ae",
     "rot-lagr disk_s3_lagr.json": "e168260bfc75c8b5",
+    "moves disk_s3.json unknot r1": "03d058f4ffd8195f",
+    "moves disk_s3.json unknot stabilize up": "715cda87d6e18b7d",
+    "moves disk_s3.json unknot stabilize down": "05cb75d0f227c783",
+    "moves disk_s3.json unknot k2 left": "3f9644bcffd103a5",
+    "moves disk_s3.json unknot k2 right": "a47677a2ec572b99",
+    "moves disk_s3.json unknot b1 down": "0527d10dd0b4e360",
+    "moves disk_s3.json unknot b1 up": "d73dbf56ee9e8fb6",
+    "moves disk_s3.json unknot s1": "0cf16d4a38bd675d",
+    "moves fig5.json lambda r1": "a888da027c803a50",
+    "moves fig5.json lambda stabilize up": "f5d79cca15e8976f",
+    "moves fig5.json lambda stabilize down": "71ed5e6841423796",
+    "moves fig5.json lambda k2 left": "99fa0dbca5fc2e87",
+    "moves fig5.json lambda k2 right": "730f5e59c383e0cd",
+    "moves fig5.json lambda b1 down": "d7d1d919d250423e",
+    "moves fig5.json lambda b1 up": "621e820ddec3c4c7",
+    "moves fig5.json lambda s1": "c3c37f134ee4a702",
+    "moves fig5.json lambda_prime r1": "f1a1f58717e54971",
+    "moves fig5.json lambda_prime stabilize up": "5216110c9a236e93",
+    "moves fig5.json lambda_prime stabilize down": "3a1458e77a6cb2b5",
+    "moves fig5.json lambda_prime k2 left": "4e5ca937f2218653",
+    "moves fig5.json lambda_prime k2 right": "193fbb501a73ef04",
+    "moves fig5.json lambda_prime b1 down": "c000e5a354b68807",
+    "moves fig5.json lambda_prime b1 up": "32c3988f47baeded",
+    "moves fig5.json lambda_prime s1": "ddff3b8f3b988952",
+    "check disk_s3_lagr.json --page disk": "7bf213d7d6521cba",
 }
 
 
-def _digest(argv, files):
-    """The run's hash; the files it wrote are read and removed."""
+def _digest(argv, files, inputs):
+    """The run's hash, with ``inputs`` written first; the files it wrote
+    are read and removed."""
+    for name, doc in inputs.items():
+        with open(name, "w") as handle:
+            json.dump(doc, handle)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -119,7 +175,7 @@ def _table(directory):
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["fixtures", "--dir", "."]) == 0
-        return {label: _digest(argv, files) for label, argv, files in _runs()}
+        return {label: _digest(*run) for label, *run in _runs()}
     finally:
         os.chdir(here)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import math
 import random
 
 from conftest import random_annulus_diagram, random_identity_diagram
@@ -16,7 +17,6 @@ from morsebook.diagram import (
     _teleport_contacts,
     h1_presentation,
     propagate_labels,
-    reduce_class,
     validate_diagram,
     vertical_line_class_sum,
 )
@@ -72,8 +72,7 @@ def test_labels_without_events_stay_at_generators():
     for j in range(d.k):
         spans = lab.pair_labels[j]
         assert all(vec.coeffs == LabelVector.unit(d.k, j).coeffs for _, _, vec in spans)
-    for spans in lab.edge_labels:
-        assert all(vec.coeffs == (0,) * d.k for _, _, vec in spans)
+    assert all(vec.coeffs == (0,) * d.k for vec in lab.edge_diffs)
 
 
 def test_same_orientation_slide_adds_label():
@@ -159,24 +158,73 @@ def test_h1_relations_do_not_grow_with_empty_binding_components():
 
 def test_reduce_class_examples():
     g = h1_presentation(fig1_torus())
-    assert reduce_class(g, [1, 0]).is_zero()
-    assert not reduce_class(g, [0, 1]).is_zero()
+    assert g.reduce([1, 0]).is_zero()
+    assert not g.reduce([0, 1]).is_zero()
+
+
+def slide_between_seam_crossings():
+    # every curve turns once leftward; pair 1's plus curve slides across
+    # pair 2 at t = 1/2, between pair 2's seam crossings at t = 3/8 and
+    # t = 5/8, so they meet the labels B and A + B
+    plus1 = TraceCurve(
+        0,
+        [
+            [(F(1, 8), F(0)), (F(-1, 8), F(1, 2))],
+            [(F(1, 8), F(1, 2)), (F(1, 8), F(1))],
+        ],
+    )
+    minus1 = TraceCurve(0, [[(F(1, 2), F(0)), (F(-1, 2), F(1))]])
+    plus2 = TraceCurve(0, [[(F(3, 8), F(0)), (F(-5, 8), F(1))]])
+    minus2 = TraceCurve(0, [[(F(5, 8), F(0)), (F(-3, 8), F(1))]])
+    pair1 = TracePair(1, plus1, minus1, [Teleport(F(1, 2), PLUS, 2, PLUS, 1)])
+    return MorseDiagram(1, [pair1, TracePair(2, plus2, minus2)])
+
+
+def test_edge_difference_reads_labels_at_the_crossing_height():
+    d = slide_between_seam_crossings()
+    assert validate_diagram(d).ok
+    # pair 1's crossings cancel; pair 2's give -B + (A + B)
+    assert [v.coeffs for v in propagate_labels(d).edge_diffs] == [(1, 0)]
 
 
 def test_label_conservation_by_independent_fold():
-    # independent event-by-event fold over sorted events
-    d = fig1_torus()
-    lab = propagate_labels(d)
-    k = d.k
-    current = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    for e in d.events():
-        tgt = e.target[0]
-        src = e.slider[0]
-        current[tgt] = [
-            a + e.sign * b for a, b in zip(current[tgt], current[src])
-        ]
-    for j in range(k):
-        assert tuple(current[j]) == lab.top_label(j).coeffs
+    # independent event-by-event fold over sorted events, then a fold of
+    # every seam crossing with the pair label it meets
+    crossings = 0
+    diagrams = (fig1_torus(), fig5_diagram(), fig6_annulus(), slide_between_seam_crossings())
+    for d in diagrams:
+        lab = propagate_labels(d)
+        k = d.k
+        current = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
+        history = [[(0, current[j])] for j in range(k)]  # (from t, label)
+        for e in d.events():
+            tgt = e.target[0]
+            src = e.slider[0]
+            current[tgt] = [
+                a + e.sign * b for a, b in zip(current[tgt], current[src])
+            ]
+            history[tgt].append((e.t, current[tgt]))
+        for j in range(k):
+            assert tuple(current[j]) == lab.top_label(j).coeffs
+
+        # an upward curve crossing x = n rightward adds its label
+        edges = [[0] * k for _ in range(d.binding_count)]
+        for j, pair in enumerate(d.trace_pairs):
+            for curve, up in ((pair.plus, 1), (pair.minus, -1)):
+                for strand in curve.strands:
+                    for (x1, t1), (x2, t2) in zip(strand, strand[1:]):
+                        right = 1 if x2 > x1 else -1
+                        lo, hi = sorted((x1, x2))
+                        for n in range(math.floor(lo) + 1, math.ceil(hi)):
+                            t = t1 + (n - x1) * (t2 - t1) / (x2 - x1)
+                            label = [v for t0, v in history[j] if t0 <= t][-1]
+                            edge = edges[curve.torus]
+                            edges[curve.torus] = [
+                                a + up * right * b for a, b in zip(edge, label)
+                            ]
+                            crossings += 1
+        assert [tuple(e) for e in edges] == [v.coeffs for v in lab.edge_diffs]
+    assert crossings > 0
 
 
 def test_relation_well_definedness_on_annuli():
@@ -188,6 +236,11 @@ def test_relation_well_definedness_on_annuli():
         diffs = lab.edge_diffs
         reduced = [g.reduce(v.coeffs) for v in diffs]
         assert all(r == reduced[0] for r in reduced)
+        # the upward curve winds n0 times across the seam, the downward n1
+        pair = d.trace_pairs[0]
+        n0 = pair.plus.end[0] - pair.plus.start[0]
+        n1 = pair.minus.end[0] - pair.minus.start[0]
+        assert [v.coeffs for v in diffs] == [(n0,), (-n1,)]
 
 
 def test_determinism_bit_identical():

@@ -169,7 +169,7 @@ def winding_front():
         [
             Vertex(F(1, 4), F(1, 2), PLAIN),
             Vertex(F(1, 2), F(-3, 4), CUSP),
-            Vertex(F(3, 20), F(-2, 5), CUSP),
+            Vertex(F(3, 20), F(-9, 20), CUSP),
         ],
         closure=(0, -1),
     )

@@ -202,7 +202,7 @@ def test_class_L0_fig6_unreduced_minus_A():
     lab = propagate_labels(d)
     assert lab.edge_diffs[0].coeffs == (-1,)
     g = h1_presentation(d, lab)
-    assert class_L0(d, 0, lab, g).is_zero()  # trivial group
+    assert class_L0(d, lab, g).is_zero()  # trivial group
 
 
 def test_class_L0_fig1_identity():

@@ -11,6 +11,7 @@ exits 1.  Reports carry the format version and the input file's hash.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -70,11 +71,18 @@ def cmd_check(args):
         for name, f in sorted(w.fronts.items()):
             for loc, msg in validate_front(w.diagram, f):
                 issues.append(("front %s" % name, loc, msg))
+    # a projection is checked against the named page, or else against
+    # every page of the workspace in name order, naming the page
     for name, c in sorted(w.lagrangians.items()):
         if args.page is not None:
-            page = _pick(w.pages, args.page, "page")
+            pages = [("lagrangian %s" % name, _pick(w.pages, args.page, "page"))]
+        else:
+            pages = [
+                ("lagrangian %s on page %s" % (name, p), page) for p, page in sorted(w.pages.items())
+            ]
+        for kind, page in pages:
             for loc, msg in validate_lagrangian(page, c):
-                issues.append(("lagrangian %s" % name, loc, msg))
+                issues.append((kind, loc, msg))
     result = {
         "ok": not issues,
         "issues": ["%s: %s (%s)" % (kind, msg, loc) for kind, loc, msg in issues],
@@ -214,7 +222,15 @@ def cmd_fixtures(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of every ``main`` call in this process, built on the
+    first.  argparse keeps no state between ``parse_args`` calls and
+    formats help and usage text only when it prints them, so one parser
+    serves every call alike; building it takes about a millisecond,
+    which a caller running ``main`` many times would pay each call.  A
+    cache on this function, not a module global, keeps the parser out of
+    the import: it is built when first asked for."""
     parser = argparse.ArgumentParser(
         prog="morsebook",
         description="Legendrian invariants from Morse diagrams of open books",

@@ -161,7 +161,6 @@ def validate_front(d, f):
     if not diag_report.ok:
         report.add("diagram", "underlying diagram is invalid")
         return report
-    pair_ids = {p.id for p in d.trace_pairs}
 
     for ci, comp in enumerate(f.components):
         loc = "component %d" % ci
@@ -171,104 +170,18 @@ def validate_front(d, f):
         if len(comp.vertices) < 2:
             report.add(loc, "component needs at least two vertices")
             continue
-
-        # teleport vertices pair up as exit followed by enter
-        for i, v in enumerate(comp.vertices):
-            if v.kind != TELEPORT:
-                continue
-            if v.role == EXIT:
-                w = comp.vertex(i + 1)
-                if w.kind != TELEPORT or w.role != ENTER:
-                    report.add(loc, "teleport exit not followed by an enter vertex")
-                    continue
-                if v.pair not in pair_ids or v.pair != w.pair:
-                    report.add(loc, "teleport pair ids missing or mismatched")
-                    continue
-                if v.side == w.side:
-                    report.add(loc, "teleport must re-enter on the partner curve")
-                if v.t != comp.lifted(i + 1)[1]:
-                    report.add(loc, "teleport exit and entry at different t")
-            elif v.role == ENTER:
-                w = comp.vertex(i - 1)
-                if w.kind != TELEPORT or w.role != EXIT:
-                    report.add(loc, "teleport enter not preceded by an exit vertex")
-            else:
-                report.add(loc, "teleport vertex without exit/enter role")
-
-        # slope constraint and vertex-local structure
-        dirs = {i: sub(b, a) for i, a, b in comp.segments()}
-        for i, (dx, dt) in dirs.items():
-            if dx == 0 and dt == 0:
-                report.add(loc, "zero-length segment at vertex %d" % i)
-                continue
-            if dx * dt > 0:
-                report.add(loc, "slope constraint violated at segment %d" % i)
-            if dx == 0:
-                v1 = comp.vertices[i]
-                v2 = comp.vertex(i + 1)
-                if v1.kind != CUSP and v2.kind != CUSP:
-                    report.add(loc, "vertical segment not adjacent to a cusp")
-        for i, v in enumerate(comp.vertices):
-            if v.kind == TELEPORT:
-                continue
-            prev_pt, next_pt = comp.neighbor_points(i)
-            prev_v = comp.vertex(i - 1)
-            next_v = comp.vertex(i + 1)
-            if prev_v.kind == TELEPORT and prev_v.role == EXIT:
-                report.add(loc, "vertex %d follows a teleport exit directly" % i)
-                continue
-            try:
-                side_in = branch_side(v.point, prev_pt)
-                side_out = branch_side(v.point, next_pt)
-            except DegenerateGeometry:
-                continue  # zero-length segment already reported
-            if v.kind == CUSP and side_in != side_out:
-                report.add(loc, "cusp vertex %d does not reverse x-direction" % i)
-            elif v.kind == CUSP and prev_pt[0] == v.point[0] == next_pt[0]:
-                report.add(loc, "cusp vertex %d between two vertical segments" % i)
-            elif v.kind == CUSP and det(dirs[(i - 1) % len(comp.vertices)], dirs[i]) == 0:
-                report.add(loc, "cusp vertex %d has collinear branches" % i)
-            if v.kind == PLAIN and side_in == side_out:
-                report.add(loc, "plain vertex %d reverses x-direction" % i)
-
-        # teleport coincidences with the trace curves
-        for i, v in enumerate(comp.vertices):
-            if v.kind != TELEPORT or v.pair is None:
-                continue
-            try:
-                pair = d.trace_pairs[d.pair_index(v.pair)]
-            except KeyError:
-                continue
-            curve = pair.curve(v.side)
-            if curve.torus != comp.torus:
-                report.add(loc, "teleport vertex %d on the wrong torus" % i)
-                continue
-            t_pos = v.t % 1
-            try:
-                x_curve = curve.x_at(t_pos)
-            except ValueError:
-                report.add(loc, "teleport vertex %d at a broken trace t" % i)
-                continue
-            if (v.x - x_curve) % 1 != 0:
-                report.add(loc, "teleport vertex %d not on its trace curve" % i)
+        for msg in _vertex_issues(d, comp, range(len(comp.vertices))):
+            report.add(loc, msg)
 
     if not report.ok:
         return report
 
     # transversality against trace curves, away from teleport endpoints
-    teleport_pts = set()
-    for comp in f.components:
-        for v in comp.vertices:
-            if v.kind == TELEPORT:
-                teleport_pts.add((comp.torus, v.x % 1, v.t % 1))
-    for ci, i, torus, a, b, _, _, q1, q2, _, error in _front_trace_pairs(d, f):
-        if error is None:
-            continue
-        if not any((torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)):
-            report.add(
-                "component %d" % ci,
-                "front touches a trace curve non-transversally at segment %d" % i,
-            )
+    for ci, i in _trace_contacts(d, f, list(f.all_segments())):
+        report.add(
+            "component %d" % ci,
+            "front touches a trace curve non-transversally at segment %d" % i,
+        )
 
     # self-crossings: transverse, no triple points
     try:
@@ -286,17 +199,174 @@ def validate_front(d, f):
     return report
 
 
+def _vertex_issues(d, comp, indices):
+    """The messages of the vertex-local rules at ``indices`` (ascending
+    vertex indices of ``comp``), rule by rule.  A rule at index i reads
+    only vertices i - 1, i and i + 1 (lifted), so it holds at i whenever
+    those three are a lattice translate of three consecutive vertices
+    where it held."""
+    n = len(comp.vertices)
+    dirs = {}  # the drawn segments at and just before each index
+    for i in {j % n for k in indices for j in (k - 1, k)}:
+        v = comp.vertices[i]
+        if not (v.kind == TELEPORT and v.role == EXIT):
+            dirs[i] = sub(comp.lifted(i + 1), v.point)
+    yield from _teleport_pairing(comp, indices, {p.id for p in d.trace_pairs})
+    yield from _segment_shape(comp, indices, dirs)
+    yield from _branches(comp, indices, dirs)
+    yield from _teleport_placement(d, comp, indices)
+
+
+def _teleport_pairing(comp, indices, pair_ids):
+    """Teleport vertices pair up as exit followed by enter."""
+    for i in indices:
+        v = comp.vertices[i]
+        if v.kind != TELEPORT:
+            continue
+        if v.role == EXIT:
+            w = comp.vertex(i + 1)
+            if w.kind != TELEPORT or w.role != ENTER:
+                yield "teleport exit not followed by an enter vertex"
+                continue
+            if v.pair not in pair_ids or v.pair != w.pair:
+                yield "teleport pair ids missing or mismatched"
+                continue
+            if v.side == w.side:
+                yield "teleport must re-enter on the partner curve"
+            if v.t != comp.lifted(i + 1)[1]:
+                yield "teleport exit and entry at different t"
+        elif v.role == ENTER:
+            w = comp.vertex(i - 1)
+            if w.kind != TELEPORT or w.role != EXIT:
+                yield "teleport enter not preceded by an exit vertex"
+        else:
+            yield "teleport vertex without exit/enter role"
+
+
+def _segment_shape(comp, indices, dirs):
+    """The slope constraint on each drawn segment."""
+    for i in indices:
+        if i not in dirs:
+            continue
+        dx, dt = dirs[i]
+        if dx == 0 and dt == 0:
+            yield "zero-length segment at vertex %d" % i
+            continue
+        if dx * dt > 0:
+            yield "slope constraint violated at segment %d" % i
+        if dx == 0 and comp.vertices[i].kind != CUSP and comp.vertex(i + 1).kind != CUSP:
+            yield "vertical segment not adjacent to a cusp"
+
+
+def _branches(comp, indices, dirs):
+    """The cusp and plain vertex rules on the two branches at a vertex."""
+    for i in indices:
+        v = comp.vertices[i]
+        if v.kind == TELEPORT:
+            continue
+        prev_pt, next_pt = comp.neighbor_points(i)
+        prev_v = comp.vertex(i - 1)
+        if prev_v.kind == TELEPORT and prev_v.role == EXIT:
+            yield "vertex %d follows a teleport exit directly" % i
+            continue
+        try:
+            side_in = branch_side(v.point, prev_pt)
+            side_out = branch_side(v.point, next_pt)
+        except DegenerateGeometry:
+            continue  # zero-length segment already reported
+        if v.kind == CUSP and side_in != side_out:
+            yield "cusp vertex %d does not reverse x-direction" % i
+        elif v.kind == CUSP and prev_pt[0] == v.point[0] == next_pt[0]:
+            yield "cusp vertex %d between two vertical segments" % i
+        elif v.kind == CUSP and det(dirs[(i - 1) % len(comp.vertices)], dirs[i]) == 0:
+            yield "cusp vertex %d has collinear branches" % i
+        if v.kind == PLAIN and side_in == side_out:
+            yield "plain vertex %d reverses x-direction" % i
+
+
+def _teleport_placement(d, comp, indices):
+    """Teleport vertices sit on their trace curves, on the front's torus."""
+    for i in indices:
+        v = comp.vertices[i]
+        if v.kind != TELEPORT or v.pair is None:
+            continue
+        try:
+            pair = d.trace_pairs[d.pair_index(v.pair)]
+        except KeyError:
+            continue
+        curve = pair.curve(v.side)
+        if curve.torus != comp.torus:
+            yield "teleport vertex %d on the wrong torus" % i
+            continue
+        try:
+            x_curve = curve.x_at(v.t % 1)
+        except ValueError:
+            yield "teleport vertex %d at a broken trace t" % i
+            continue
+        if (v.x - x_curve) % 1 != 0:
+            yield "teleport vertex %d not on its trace curve" % i
+
+
+def _trace_contacts(d, f, segs):
+    """(component, segment) of each of ``segs``, segments of ``f`` as
+    all_segments yields them, that touches a trace curve
+    non-transversally away from every teleport point of ``f``."""
+    teleport_pts = set()
+    for comp in f.components:
+        for v in comp.vertices:
+            if v.kind == TELEPORT:
+                teleport_pts.add((comp.torus, v.x % 1, v.t % 1))
+    for ci, i, torus, a, b, _, _, q1, q2, _, error in _front_trace_pairs(d, f, segs):
+        if error is None:
+            continue
+        if not any((torus, p[0] % 1, p[1] % 1) in teleport_pts for p in (a, b, q1, q2)):
+            yield ci, i
+
+
+def _rewrite_is_valid(d, f, ci, first, last):
+    """True only if ``validate_front(d, f)`` passes, when ``f`` is a
+    valid front rewritten in component ``ci`` between segments ``first``
+    and ``last`` (cyclic indices): every other segment of ``f`` is a
+    lattice translate of a segment of the valid front, the teleport
+    points of which ``f`` keeps.  May refuse a valid front, never pass
+    an invalid one."""
+    comp = f.components[ci]
+    n = len(comp.vertices)
+    if n < 2:
+        return False
+    if any(_vertex_issues(d, comp, sorted({k % n for k in range(first, last + 2)}))):
+        return False
+    rewritten = {k % n for k in range(first, last + 1)}
+    new, old = [], []
+    for seg in f.all_segments():
+        (new if seg[0] == ci and seg[1] in rewritten else old).append(seg)
+    if any(_trace_contacts(d, f, new)):
+        return False
+    hits = []  # (crossing point, the segments of its pair)
+    for pairs, others in ((_crossing_pairs(f, new), new), (_crossing_pairs(f, new, old), old)):
+        for i, j, meets, error in pairs:
+            if error is not None:
+                return False
+            hits += [(point, (new[i][:2], others[j][:2])) for _, _, point in meets]
+    if len({(p[0] % 1, p[1] % 1) for p, _ in hits}) < len(hits):
+        return False
+    # the crossing skip drops each pair of a new segment with the old
+    # segment next to it; a crossing point on such an old segment may
+    # meet an old crossing, so it refuses
+    ends = [s for s in old if s[0] == ci and s[1] in ((first - 1) % n, (last + 1) % n)]
+    points = [(comp.torus, p, p) for p, _ in hits]
+
+    def in_pair(i, j):
+        return ends[i][:2] in hits[j][1]
+
+    return not any(torus_meets([s[2:] for s in ends], points, skip=in_pair))
+
+
 def crossings_raw(f):
     """All transverse crossings among front segments (exact, unsorted)."""
     segs = list(f.all_segments())
-
-    def adjacent(i, j):
-        ci1, i1 = segs[i][:2]
-        ci2, i2 = segs[j][:2]
-        return ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2)
-
     out = []
-    for i, j, hits, error in torus_meets([s[2:] for s in segs], skip=adjacent):
+    for i, j, hits, error in _crossing_pairs(f, segs):
         if error is not None:
             raise DegenerateGeometry(error)
         ci1, i1, t1, a1, b1 = segs[i]
@@ -304,6 +374,21 @@ def crossings_raw(f):
         for _, _, point in hits:
             out.append(_make_crossing(t1, point, (ci1, i1, a1, b1), (ci2, i2, a2, b2)))
     return out
+
+
+def _crossing_pairs(f, segs, others=None):
+    """torus_meets over segments of ``f`` as all_segments yields them,
+    ``segs`` among themselves or against ``others``; every translate of
+    a pair adjacent in one component is skipped."""
+    second = segs if others is None else others
+
+    def adjacent(i, j):
+        ci1, i1 = segs[i][:2]
+        ci2, i2 = second[j][:2]
+        return ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2)
+
+    rest = None if others is None else [s[2:] for s in others]
+    return torus_meets([s[2:] for s in segs], rest, skip=adjacent)
 
 
 def _adjacent_segments(comp, i1, i2):
@@ -365,10 +450,12 @@ def lk_binding(f):
     return sum(_page_crossings(f))
 
 
-def _front_trace_pairs(d, f):
-    """Each front segment with each trace segment on its torus that it
-    meets or touches, with the torus_meets results of the pair."""
-    fsegs = list(f.all_segments())
+def _front_trace_pairs(d, f, fsegs=None):
+    """Each front segment (of ``fsegs``, by default all of ``f``'s) with
+    each trace segment on its torus that it meets or touches, with the
+    torus_meets results of the pair."""
+    if fsegs is None:
+        fsegs = list(f.all_segments())
     tsegs = [
         (pi, side, curve.torus, q1, q2)
         for pi, side, curve in d.curves()

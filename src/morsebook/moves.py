@@ -1,8 +1,10 @@
 """Local rewrites of front projections: the front Reidemeister moves.
 
 Every move is a deterministic pattern-to-replacement rewrite at a
-user-addressed site, built in exact rational coordinates and checked
-for validity afterwards.  Quantitative contracts: r1 inserts a kink
+user-addressed site, built in exact rational coordinates.  apply_move
+validates the whole output front; apply_script validates its input
+once and each output only where the move rewrote it, in full only when
+that local check refuses.  Quantitative contracts: r1 inserts a kink
 with one up and one down cusp and a single new crossing; k2 wraps the
 front once around the binding direction, trading one horizontal curve
 of the resolution against a same-direction cusp pair; b1 folds the
@@ -40,6 +42,7 @@ from .front import (
     FrontComponent,
     FrontProjection,
     Vertex,
+    _rewrite_is_valid,
     validate_front,
 )
 from .geometry import DegenerateGeometry, _scaled, branch_side, cusp_direction, det, sub
@@ -58,33 +61,67 @@ ISOTOPY_MOVES = ("r1", "r1_inv", "cusp_trace", "s1", "k2", "b1", "k3")
 
 
 def apply_move(d, f, move, site):
-    """Apply one named move at the given site; the output is re-validated."""
-    if move not in MOVE_NAMES:
-        raise InvalidInput("unknown move %r" % (move,))
-    out = globals()["_move_" + move](d, f, dict(site))
-    report = validate_front(d, out)
-    if not report.ok:
-        raise PatternNotFound(
-            "move %s yields an invalid front here: %s" % (move, report.issues[0][1])
-        )
+    """Apply one named move at the given site; the whole output front is
+    validated, the input is not."""
+    out, _ = _step(d, f, move, site)
+    _require_valid(d, out, move)
     return out
 
 
 def apply_script(d, f, script):
-    """Apply an ordered list of {move, site} records."""
-    cur = f
+    """Apply an ordered list of {move, site} records.
+
+    The input front is validated once, in full; each step's output is
+    then checked only where the move rewrote it, and in full only when
+    that local check refuses.  A move rewrites one window of one
+    component and shifts the vertices after it by an integer vector
+    (k2 and b1 by a page or a turn), moving the closure with them; it
+    removes no teleport vertex.  So every segment outside the window is
+    a lattice translate of a segment of the valid input, and the rules
+    that read only translates of what held there still hold: the
+    vertex-local rules away from the window, the trace contacts of old
+    segments (their teleport exemptions survive) and the crossings and
+    contacts among old segments.  What remains is local: the vertex
+    rules at the rewritten vertices and their two neighbours, the new
+    segments against the trace curves and against every segment, and
+    the points of the crossings they add (``front._rewrite_is_valid``).
+    Every refusal therefore comes from the full ``validate_front`` and
+    reads as ``apply_move``'s does.
+    """
+    validate_front(d, f).raise_if_invalid("front")
     for step in script:
-        cur = apply_move(d, cur, step["move"], step.get("site", {}))
-    return cur
+        move = step["move"]
+        f, window = _step(d, f, move, step.get("site", {}))
+        if not _rewrite_is_valid(d, f, *window):
+            _require_valid(d, f, move)
+    return f
+
+
+def _step(d, f, move, site):
+    """The unchecked output of one move and its window (component,
+    first and last rewritten segment)."""
+    if move not in MOVE_NAMES:
+        raise InvalidInput("unknown move %r" % (move,))
+    return globals()["_move_" + move](d, f, dict(site))
+
+
+def _require_valid(d, f, move):
+    report = validate_front(d, f)
+    if not report.ok:
+        raise PatternNotFound(
+            "move %s yields an invalid front here: %s" % (move, report.issues[0][1])
+        )
 
 
 # --------------------------------------------------------------- helpers
 
 
-def _replace_component(f, ci, comp):
+def _replace_component(f, ci, comp, first, last):
+    """``f`` with component ``ci`` replaced, and the window of the
+    rewrite: segments ``first`` to ``last`` of ``comp`` are new."""
     comps = list(f.components)
     comps[ci] = comp
-    return FrontProjection(comps)
+    return FrontProjection(comps), (ci, first, last)
 
 
 def _segment_endpoints(comp, si):
@@ -94,8 +131,10 @@ def _segment_endpoints(comp, si):
     return a.point, comp.lifted(si + 1)
 
 
-def _insert_vertices(comp, si, new_vertices, shift=(0, 0)):
-    """Splice vertices in after vertex si, shifting the rest of the lift."""
+def _insert_vertices(f, ci, si, new_vertices, shift=(0, 0)):
+    """Splice vertices into component ci after vertex si, shifting the
+    rest of the lift by the integer vector ``shift``."""
+    comp = f.components[ci]
     out = []
     for i, v in enumerate(comp.vertices):
         if i <= si:
@@ -105,7 +144,8 @@ def _insert_vertices(comp, si, new_vertices, shift=(0, 0)):
         if i == si:
             out.extend(new_vertices)
     closure = (comp.closure[0] + shift[0], comp.closure[1] + shift[1])
-    return FrontComponent(comp.torus, out, closure)
+    out_comp = FrontComponent(comp.torus, out, closure)
+    return _replace_component(f, ci, out_comp, si, si + len(new_vertices))
 
 
 def _site_key(site, key):
@@ -241,7 +281,7 @@ def _move_tip(f, ci, comp, vi, new_x, refusal):
     out_comp = FrontComponent(comp.torus, verts, comp.closure)
     if _cusp_dir_at(out_comp, vi) != before:
         raise PatternNotFound(refusal)
-    return _replace_component(f, ci, out_comp)
+    return _replace_component(f, ci, out_comp, vi - 1, vi)
 
 
 # ------------------------------------------------------ r1 and stabilize
@@ -310,7 +350,7 @@ def _insert_kink(d, f, site, ci, comp, move, kink, what):
         ):
             verts = [Vertex(*p, PLAIN), Vertex(*world(*v1), CUSP), Vertex(*world(*v2), CUSP)]
             verts.append(Vertex(*world(*q), PLAIN))
-            return _replace_component(f, ci, _insert_vertices(comp, si, verts))
+            return _insert_vertices(f, ci, si, verts)
     raise PatternNotFound("no clear room for %s at this site" % what)
 
 
@@ -328,7 +368,10 @@ def _move_r1_inv(d, f, site):
     if det(sub(p, prev_pt), d1) != 0 or det(d1, sub(next_pt, q)) != 0:
         raise PatternNotFound("kink endpoints are not collinear with the strand")
     out = [v for k, v in enumerate(comp.vertices) if not (0 <= (k - i) % n < 4)]
-    return _replace_component(f, ci, FrontComponent(comp.torus, out, comp.closure))
+    # the one new segment joins the kink's two neighbours; the list now
+    # ends at the first of them when the kink ran across its start
+    joint = min(i, n - 4) - 1
+    return _replace_component(f, ci, FrontComponent(comp.torus, out, comp.closure), joint, joint)
 
 
 # ----------------------------------------------------------- cusp_trace
@@ -474,9 +517,7 @@ def _move_k2(d, f, site):
     shift_x = q_x - q[0]
     if shift_x % 1 != 0:
         raise AssertionError("k2 wrap shift is not integral")
-    return _replace_component(
-        f, ci, _insert_vertices(comp, si, new_vertices, (int(shift_x), 0))
-    )
+    return _insert_vertices(f, ci, si, new_vertices, (int(shift_x), 0))
 
 
 def _require_clear_band(d, t_lo, t_hi):
@@ -604,7 +645,7 @@ def _move_b1(d, f, site):
             Vertex(q[0], q[1] + 1, PLAIN),
         ]
         shift = (0, 1)
-    return _replace_component(f, ci, _insert_vertices(comp, si, new_vertices, shift))
+    return _insert_vertices(f, ci, si, new_vertices, shift)
 
 
 # ------------------------------------------------------------------- k3
@@ -660,8 +701,8 @@ def _move_k3(d, f, site):
             continue
         if new_dir != before:
             continue
-        out = _replace_component(f, ci, out_comp)
-        if validate_front(d, out).ok:
+        out = _replace_component(f, ci, out_comp, vi - 1, vi + 4)
+        if validate_front(d, out[0]).ok:
             return out
     raise PatternNotFound("no direction-preserving teleported poke fits here")
 

@@ -249,3 +249,68 @@ def test_parse_messages_do_not_depend_on_the_hash_seed(tmp_path):
         runs.append(subprocess.run(argv, env=env, capture_output=True, timeout=60))
     assert [r.returncode for r in runs] == [2, 2]
     assert runs[0].stderr == runs[1].stderr == b"parse error: pages['disk']: missing field 'disc'\n"
+
+
+def test_one_process_answers_a_run_of_calls_as_fresh_processes_do(tmp_path):
+    # main reuses one parser per process; a usage error must leave it as
+    # a fresh process would find it
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    lagr = str(tmp_path / "disk_s3_lagr.json")
+    argvs = [
+        ["rot", str(tmp_path / "disk_s3.json")],
+        ["rot", str(tmp_path / "disk_s3.json"), "--front", "unknot"],
+        ["tb", lagr, "--page", "disk", "--lagr", "unknot", "--format", "json"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from morsebook.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        runs.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("COLUMNS", None)
+
+    def calls(argvs):
+        argv = [sys.executable, "-c", script, json.dumps(argvs)]
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60, check=True)
+        return json.loads(done.stdout)
+
+    together = calls(argvs)
+    apart = [calls([argv])[0] for argv in argvs]
+    assert together == apart
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert together[0][2].startswith("usage: morsebook rot [-h]")
+
+
+def test_plain_check_checks_each_lagrangian_on_every_page(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fixtures", "--dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "disk_s3_lagr.json").read_text())
+    doc["lagrangians"]["unknot"]["components"][0][0] = ["0", "40"]
+    target = tmp_path / "outside.json"
+
+    def issues(*extra):
+        target.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", str(target), "--format", "json", *extra])
+        return code, json.loads(out.getvalue())["result"]["issues"]
+
+    code, plain = issues()
+    _, named = issues("--page", "disk")
+    assert code == 1 and len(plain) == len(named) == 3
+    assert plain[0] == "lagrangian unknot on page disk: vertex 0 outside the page (component 0)"
+    assert named == [issue.replace(" on page disk", "") for issue in plain]
+    # a second page, in name order after the first
+    doc["pages"]["wide"] = {"disc": {"center": ["0", "0"], "radius": "50"}, "format": "page/1"}
+    code, two = issues()
+    assert code == 1 and two == plain
+    # with no page, the projection has nothing to be checked against
+    doc["pages"] = {}
+    assert issues() == (0, [])

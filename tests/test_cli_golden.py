@@ -1,8 +1,9 @@
 """Golden CLI reports on the bundled fixtures.
 
 Each run calls ``main`` in-process on a file written by ``morsebook
-fixtures`` (a ``moves`` run also on a one-step script written just
-before it) and hashes what a user sees: the exit code, standard output,
+fixtures``, or on one of them with one value edited (``EDITS``); a
+``moves`` run also reads a script written just before it.  Each run
+hashes what a user sees: the exit code, standard output,
 standard error and every file the run writes.  The table holds the
 first 16 hex digits of each SHA-256.  A change that moves any of these
 bytes must say so and regenerate the table:
@@ -38,6 +39,46 @@ MOVES = (
     ("r1", None), ("stabilize", "up"), ("stabilize", "down"), ("k2", "left"),
     ("k2", "right"), ("b1", "down"), ("b1", "up"), ("s1", None),
 )
+
+
+# multi-step scripts: per front, an r1 kink, a down stabilization, a
+# left k2 wrap and a down b1 fold at sites that take them, then r1_inv
+# of the first kink; and a script whose second step yields an invalid
+# front (the fold meets a trace curve at a vertex)
+def _step(move, segment=None, variant=None, vertex=None):
+    site = {"component": 0, "u": "1/2"} if vertex is None else {"component": 0, "vertex": vertex}
+    if segment is not None:
+        site["segment"] = segment
+    if variant is not None:
+        site["variant"] = variant
+    return {"move": move, "site": site}
+
+
+SCRIPTS = {
+    ("disk_s3.json", "unknot", "walk"): (
+        _step("r1", 0), _step("stabilize", 5, "down"), _step("k2", 5, "left"),
+        _step("b1", 5, "down"), _step("r1_inv", vertex=1),
+    ),
+    ("fig5.json", "lambda", "walk"): (
+        _step("r1", 1), _step("stabilize", 7, "down"), _step("k2", 7, "left"),
+        _step("b1", 7, "down"), _step("r1_inv", vertex=2),
+    ),
+    ("fig5.json", "lambda_prime", "walk"): (
+        _step("r1", 0), _step("stabilize", 9, "down"), _step("k2", 10, "left"),
+        _step("b1", 9, "down"), _step("r1_inv", vertex=1),
+    ),
+    ("fig5.json", "lambda_prime", "refused"): (
+        _step("r1", 0), _step("b1", 5, "down"), _step("s1", vertex=2),
+    ),
+    # the input front breaks the slope rule at segment 0
+    ("disk_s3_bent.json", "unknot", "r1"): (_step("r1", 1),),
+    ("disk_s3_bent.json", "unknot", "empty"): (),
+}
+# edited fixtures: (written from, path of the edited value, new value)
+EDITS = {
+    "disk_s3_bent.json": ("disk_s3.json", ("fronts", "unknot", "components", 0, "vertices", 1, 2), "9/10"),
+    "disk_s3_lagr_out.json": ("disk_s3_lagr.json", ("lagrangians", "unknot", "components", 0, 0), ["0", "40"]),
+}
 
 
 def _move_script(front, move, variant):
@@ -77,6 +118,13 @@ def _runs():
         out.append(("%s disk_s3_lagr.json" % cmd, argv, (), {}))
     argv = ["check", "disk_s3_lagr.json", "--page", "disk", "--format", "json"]
     out.append(("check disk_s3_lagr.json --page disk", argv, (), {}))
+    for (ws, front, name), steps in SCRIPTS.items():
+        script = {"script.json": {"format": MOVES_FORMAT, "steps": list(steps)}}
+        argv = ["moves", ws, "--front", front, "--script", "script.json", "-o", "out.json"]
+        out.append(("moves %s %s %s" % (ws, front, name), argv, ("out.json",), script))
+    for page in ((), ("--page", "disk")):
+        argv = ["check", "disk_s3_lagr_out.json", *page, "--format", "json"]
+        out.append((" ".join(["check", "disk_s3_lagr_out.json", *page]), argv, (), {}))
     return out
 
 
@@ -143,6 +191,14 @@ GOLDEN = {
     "moves fig5.json lambda_prime b1 up": "32c3988f47baeded",
     "moves fig5.json lambda_prime s1": "ddff3b8f3b988952",
     "check disk_s3_lagr.json --page disk": "7bf213d7d6521cba",
+    "moves disk_s3.json unknot walk": "13419645c51c7b94",
+    "moves fig5.json lambda walk": "9bcad8c4ff1ca499",
+    "moves fig5.json lambda_prime walk": "6310991ea766dcf1",
+    "moves fig5.json lambda_prime refused": "efe1c72330d56835",
+    "moves disk_s3_bent.json unknot r1": "12222ae0cead177a",
+    "moves disk_s3_bent.json unknot empty": "12222ae0cead177a",
+    "check disk_s3_lagr_out.json": "058ab8965fc4f5d7",
+    "check disk_s3_lagr_out.json --page disk": "6208f01ff57ebd22",
 }
 
 
@@ -175,6 +231,15 @@ def _table(directory):
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["fixtures", "--dir", "."]) == 0
+        for name, (source, path, value) in EDITS.items():
+            with open(source) as handle:
+                doc = json.load(handle)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            with open(name, "w") as handle:
+                json.dump(doc, handle)
         return {label: _digest(*run) for label, *run in _runs()}
     finally:
         os.chdir(here)

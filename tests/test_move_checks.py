@@ -88,8 +88,8 @@ def _site(d, f, spec):
         if move == "s1":
             site["depth"] = DEPTHS[k]
         else:
-            pairs = d.trace_pairs or [TracePair(1, None, None)]
-            site.update(pair=pairs[pick % len(pairs)].id, side=("plus", "minus")[k % 2])
+            ids = [p.id for p in d.trace_pairs] or [1]
+            site.update(pair=ids[pick % len(ids)], side=("plus", "minus")[k % 2])
             if move == "cusp_trace" and k >= 2:
                 site["depth"] = "0"  # the tip lands on the trace curve
     elif move == "r1_inv":

@@ -244,7 +244,7 @@ def validate_diagram(d):
     last = {ci: n for _, ci, n, *_ in segs}  # curve -> its last segment
 
     def consecutive(i, j):
-        # along one curve, and through its t=1 closure
+        # joined along one curve, and through its t=1 closure
         _, c1, n1 = segs[i][:3]
         _, c2, n2 = segs[j][:3]
         return c1 == c2 and (n2 == n1 + 1 or (n1 == 0 and n2 == last[c1]))
@@ -253,7 +253,7 @@ def validate_diagram(d):
         i, j = meet[:2]
         return (segs[i][1], segs[j][1], i, j)
 
-    meets = torus_meets([s[3:] for s in segs], skip=consecutive)
+    meets = torus_meets([s[3:] for s in segs], joined=consecutive)
     for i, j, hits, error in sorted(meets, key=curve_pair_order):
         pi1, _, _, torus, p1, p2 = segs[i]
         pi2, _, _, _, q1, q2 = segs[j]

@@ -329,7 +329,10 @@ def _rewrite_is_valid(d, f, ci, first, last):
     and ``last`` (cyclic indices): every other segment of ``f`` is a
     lattice translate of a segment of the valid front, the teleport
     points of which ``f`` keeps.  May refuse a valid front, never pass
-    an invalid one."""
+    an invalid one.  A new crossing on an old segment is a triple point
+    and shows up twice among the new segments' crossings: the window's
+    old neighbours, too, meet the new segments on every translate but
+    the one where they share a vertex (``torus_meets``)."""
     comp = f.components[ci]
     n = len(comp.vertices)
     if n < 2:
@@ -342,24 +345,13 @@ def _rewrite_is_valid(d, f, ci, first, last):
         (new if seg[0] == ci and seg[1] in rewritten else old).append(seg)
     if any(_trace_contacts(d, f, new)):
         return False
-    hits = []  # (crossing point, the segments of its pair)
-    for pairs, others in ((_crossing_pairs(f, new), new), (_crossing_pairs(f, new, old), old)):
-        for i, j, meets, error in pairs:
+    hits = []  # the crossing points of the new segments
+    for pairs in (_crossing_pairs(f, new), _crossing_pairs(f, new, old)):
+        for _, _, meets, error in pairs:
             if error is not None:
                 return False
-            hits += [(point, (new[i][:2], others[j][:2])) for _, _, point in meets]
-    if len({(p[0] % 1, p[1] % 1) for p, _ in hits}) < len(hits):
-        return False
-    # the crossing skip drops each pair of a new segment with the old
-    # segment next to it; a crossing point on such an old segment may
-    # meet an old crossing, so it refuses
-    ends = [s for s in old if s[0] == ci and s[1] in ((first - 1) % n, (last + 1) % n)]
-    points = [(comp.torus, p, p) for p, _ in hits]
-
-    def in_pair(i, j):
-        return ends[i][:2] in hits[j][1]
-
-    return not any(torus_meets([s[2:] for s in ends], points, skip=in_pair))
+            hits += [point for _, _, point in meets]
+    return len({(p[0] % 1, p[1] % 1) for p in hits}) == len(hits)
 
 
 def crossings_raw(f):
@@ -378,8 +370,8 @@ def crossings_raw(f):
 
 def _crossing_pairs(f, segs, others=None):
     """torus_meets over segments of ``f`` as all_segments yields them,
-    ``segs`` among themselves or against ``others``; every translate of
-    a pair adjacent in one component is skipped."""
+    ``segs`` among themselves or against ``others``; segments adjacent
+    in one component are joined."""
     second = segs if others is None else others
 
     def adjacent(i, j):
@@ -388,7 +380,7 @@ def _crossing_pairs(f, segs, others=None):
         return ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2)
 
     rest = None if others is None else [s[2:] for s in others]
-    return torus_meets([s[2:] for s in segs], rest, skip=adjacent)
+    return torus_meets([s[2:] for s in segs], rest, joined=adjacent)
 
 
 def _adjacent_segments(comp, i1, i2):

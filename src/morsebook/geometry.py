@@ -101,15 +101,14 @@ def _shift_range(a_lo, a_hi, b_lo, b_hi):
     return range(n0, n1 + 1)
 
 
-def segment_meet_torus(p1, p2, q1, q2, skip_degenerate=False):
+def segment_meet_torus(p1, p2, q1, q2):
     """All transverse meets of two segments on the unit torus.
 
     Segments are given in lifted coordinates; the second segment is
     compared against all integer translates that can touch the first.
     Returns a list of (s, u, point) with the point in the first
     segment's lift.  A non-transverse translate contact raises
-    DegenerateGeometry, or is dropped when ``skip_degenerate`` is set
-    (used where an endpoint contact is a known, legitimate junction).
+    DegenerateGeometry.
     """
     out = []
     ax_lo, ax_hi = min(p1[0], p2[0]), max(p1[0], p2[0])
@@ -120,24 +119,22 @@ def segment_meet_torus(p1, p2, q1, q2, skip_degenerate=False):
         for nt in _shift_range(at_lo, at_hi, bt_lo, bt_hi):
             r1 = (q1[0] + nx, q1[1] + nt)
             r2 = (q2[0] + nx, q2[1] + nt)
-            try:
-                hit = segment_meet(p1, p2, r1, r2)
-            except DegenerateGeometry:
-                if skip_degenerate:
-                    continue
-                raise
+            hit = segment_meet(p1, p2, r1, r2)
             if hit is not None:
                 out.append(hit)
     return out
 
 
-def torus_meets(segs, others=None, skip=None):
+def torus_meets(segs, others=None, joined=None):
     """Every touching pair of segments on the unit tori, in exact integers.
 
     ``segs`` (and ``others``) hold (torus, a, b) triples in lifted
     coordinates.  The pairs are (i, j), i < j, within ``segs``, or each
     i of ``segs`` with each j of ``others``; only segments on one torus
-    pair up, and ``skip(i, j)`` leaves a pair out before any test.
+    pair up.  For a pair that ``joined(i, j)`` names, the translates at
+    which the two share an endpoint are left out: this is the program's
+    one junction rule, and a segment longer than one unit still crosses
+    the other translates of a segment joined to it.
     Yields (i, j, hits, error) in ascending (i, j) for each pair that
     segment_meet_torus(a_i, b_i, a_j, b_j) finds a meet or a contact
     in: ``hits`` are its (s, u, point) meets on the transverse
@@ -172,16 +169,19 @@ def torus_meets(segs, others=None, skip=None):
             if k1 == k2 or (others is not None and not k1 < first <= k2):
                 continue
             i, j = (k1, k2) if others is None else (k1, k2 - first)
-            if skip is None or not skip(i, j):
-                shifts.add((i, j, mx2 - mx1, mt2 - mt1))
+            shifts.add((i, j, mx2 - mx1, mt2 - mt1))
     for (i, j), translates in itertools.groupby(sorted(shifts), key=lambda s: s[:2]):
         p1, p2 = ints[i]
         q1, q2 = ints[j if others is None else j + first]
+        ends = (p1, p2) if joined is not None and joined(i, j) else ()
         hits, error = [], None
         for _, _, nx, nt in translates:
             dx, dt = nx * scale, nt * scale
+            r1, r2 = (q1[0] + dx, q1[1] + dt), (q2[0] + dx, q2[1] + dt)
+            if r1 in ends or r2 in ends:
+                continue  # the junction itself
             try:
-                meet = _meet_int(p1, p2, (q1[0] + dx, q1[1] + dt), (q2[0] + dx, q2[1] + dt))
+                meet = _meet_int(p1, p2, r1, r2)
             except DegenerateGeometry as e:
                 error = error or str(e)
                 continue

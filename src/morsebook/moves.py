@@ -85,7 +85,10 @@ def apply_script(d, f, script):
     rules at the rewritten vertices and their two neighbours, the new
     segments against the trace curves and against every segment, and
     the points of the crossings they add (``front._rewrite_is_valid``).
-    Every refusal therefore comes from the full ``validate_front`` and
+    A new segment meets its old neighbour on every translate but the
+    one where they share a vertex, so no separate check of the old
+    neighbours is needed: a triple point there shows among those
+    crossings twice.  Every refusal therefore comes from the full ``validate_front`` and
     reads as ``apply_move``'s does.
     """
     validate_front(d, f).raise_if_invalid("front")
@@ -274,12 +277,17 @@ def _cusp_dir_at(comp, vi):
 
 def _move_tip(f, ci, comp, vi, new_x, refusal):
     """``f`` with the tip of cusp ``vi`` moved to x = ``new_x``; refused
-    with ``refusal`` when that would change the cusp's direction."""
+    with ``refusal`` when that would change the cusp's direction or
+    leave it without one."""
     before = _cusp_dir_at(comp, vi)
     verts = list(comp.vertices)
     verts[vi] = Vertex(new_x, verts[vi].t, CUSP)
     out_comp = FrontComponent(comp.torus, verts, comp.closure)
-    if _cusp_dir_at(out_comp, vi) != before:
+    try:
+        after = _cusp_dir_at(out_comp, vi)
+    except DegenerateGeometry:
+        after = None
+    if after != before:
         raise PatternNotFound(refusal)
     return _replace_component(f, ci, out_comp, vi - 1, vi)
 

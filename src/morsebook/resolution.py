@@ -257,9 +257,6 @@ class Piece:
             wrap = (pts[0][0] + self.closure[0], pts[0][1] + self.closure[1])
             yield (n - 1, pts[n - 1], wrap)
 
-    def segment_count(self):
-        return len(self.points) if self.closed else len(self.points) - 1
-
     @property
     def start(self):
         return self.points[0]
@@ -611,18 +608,16 @@ def _assemble(pieces, junction_next):
 
     ends = [_ends_mod1(a, b) for _, _, a, b in seglist]
 
-    def adjacent(i, j):
-        pi, si = seglist[i][:2]
-        pj, sj = seglist[j][:2]
-        return pi == pj and _cyclically_adjacent(pieces[pi], si, sj)
+    def joined(i, j):
+        # register refuses colliding junction keys, so an endpoint
+        # shared mod 1 is a designed junction
+        return not ends[i].isdisjoint(ends[j])
 
     crossings = []  # (seg_i tuple, seg_j tuple)
     cross_params = {}  # (pi, si) -> list of (param, cid, slot)
     segs = [(pieces[pi].torus, a, b) for pi, _, a, b in seglist]
-    for i, j, hits, error in torus_meets(segs, skip=adjacent):
-        # shared endpoints are designed junctions; other translates
-        # may still cross honestly
-        if error is not None and ends[i].isdisjoint(ends[j]):
+    for i, j, hits, error in torus_meets(segs, joined=joined):
+        if error is not None:
             raise DegenerateGeometry(error)
         pi, si = seglist[i][:2]
         pj, sj = seglist[j][:2]
@@ -728,13 +723,6 @@ def _assemble(pieces, junction_next):
 
 def _lerp(a, b, s):
     return (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
-
-
-def _cyclically_adjacent(piece, si, sj):
-    n = piece.segment_count()
-    if piece.closed:
-        return (si - sj) % n in (0, 1) or (sj - si) % n in (0, 1)
-    return abs(si - sj) <= 1
 
 
 def _ends_mod1(a, b):

@@ -1,9 +1,11 @@
-"""Shared deterministic generators for the property suites."""
+"""Shared deterministic generators and oracles for the property suites."""
 
+import math
 from fractions import Fraction as F
 
 from morsebook.diagram import MINUS, PLUS, MorseDiagram, TraceCurve, TracePair
 from morsebook.front import CUSP, PLAIN, FrontComponent, FrontProjection, Vertex
+from morsebook.geometry import DegenerateGeometry, segment_meet
 from morsebook.lagrangian import Band, LagrangianDiagram, PageModel
 
 
@@ -228,3 +230,32 @@ def band_tongue(page, band_index, depth=F(3, 2)):
         (F(-2), F(0)),
         (F(2), F(2)),
     ]
+
+
+def translate_meets(p1, p2, q1, q2, joined=False):
+    """The junction rule by hand: (hits, first degenerate message) of
+    ``segment_meet`` on every lattice translate of q1 -> q2 that can reach
+    p1 -> p2, x translates outer and t translates inner.  For a ``joined``
+    pair, the translates at which the two segments share an endpoint are
+    left out; every other translate counts."""
+    hits, error = [], None
+
+    def shifts(axis):
+        lo = min(p1[axis], p2[axis]) - max(q1[axis], q2[axis])
+        hi = max(p1[axis], p2[axis]) - min(q1[axis], q2[axis])
+        return range(math.ceil(lo), math.floor(hi) + 1)
+
+    for nx in shifts(0):
+        for nt in shifts(1):
+            r1 = (q1[0] + nx, q1[1] + nt)
+            r2 = (q2[0] + nx, q2[1] + nt)
+            if joined and {p1, p2} & {r1, r2}:
+                continue
+            try:
+                hit = segment_meet(p1, p2, r1, r2)
+            except DegenerateGeometry as e:
+                error = error or str(e)
+                continue
+            if hit is not None:
+                hits.append(hit)
+    return hits, error

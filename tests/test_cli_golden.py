@@ -73,12 +73,18 @@ SCRIPTS = {
     # the input front breaks the slope rule at segment 0
     ("disk_s3_bent.json", "unknot", "r1"): (_step("r1", 1),),
     ("disk_s3_bent.json", "unknot", "empty"): (),
+    # the nudged tip lands level with both neighbours' x
+    ("disk_s3.json", "unknot", "s1 level"): ({"move": "s1", "site": {"component": 0, "vertex": 0, "depth": "-1/5"}},),
 }
 # edited fixtures: (written from, path of the edited value, new value)
 EDITS = {
     "disk_s3_bent.json": ("disk_s3.json", ("fronts", "unknot", "components", 0, "vertices", 1, 2), "9/10"),
     "disk_s3_lagr_out.json": ("disk_s3_lagr.json", ("lagrangians", "unknot", "components", 0, 0), ["0", "40"]),
+    # one vertex moved so that its segments span more than one unit in x
+    "fig5_stretched.json": ("fig5.json", ("fronts", "lambda", "components", 0, "vertices", 1, 1), "-1"),
+    "disk_s3_stretched.json": ("disk_s3.json", ("fronts", "unknot", "components", 0, "vertices", 0, 1), "-2"),
 }
+STRETCHED = {"fig5_stretched.json": "lambda", "disk_s3_stretched.json": "unknot"}
 
 
 def _move_script(front, move, variant):
@@ -125,6 +131,10 @@ def _runs():
     for page in ((), ("--page", "disk")):
         argv = ["check", "disk_s3_lagr_out.json", *page, "--format", "json"]
         out.append((" ".join(["check", "disk_s3_lagr_out.json", *page]), argv, (), {}))
+    for ws, front in sorted(STRETCHED.items()):
+        out.append(("check %s" % ws, ["check", ws, "--format", "json"], (), {}))
+        argv = ["resolve", ws, "--front", front, "--out", "res.json", "--svg", "res.svg"]
+        out.append(("resolve %s %s" % (ws, front), argv, ("res.json", "res.svg"), {}))
     return out
 
 
@@ -199,6 +209,11 @@ GOLDEN = {
     "moves disk_s3_bent.json unknot empty": "12222ae0cead177a",
     "check disk_s3_lagr_out.json": "058ab8965fc4f5d7",
     "check disk_s3_lagr_out.json --page disk": "6208f01ff57ebd22",
+    "moves disk_s3.json unknot s1 level": "0f1e77360dc664b7",
+    "check disk_s3_stretched.json": "2e463d08715de5f9",
+    "resolve disk_s3_stretched.json unknot": "9df7ed95fa839a55",
+    "check fig5_stretched.json": "689dd29204ab5b1f",
+    "resolve fig5_stretched.json lambda": "82473c61fdeec272",
 }
 
 

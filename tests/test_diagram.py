@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import math
 import random
 
-from conftest import random_annulus_diagram, random_identity_diagram
+from conftest import random_annulus_diagram, random_identity_diagram, translate_meets
 
 from morsebook.abelian import smith_normal_form
 from morsebook.diagram import (
@@ -21,7 +21,6 @@ from morsebook.diagram import (
     vertical_line_class_sum,
 )
 from morsebook.fixtures import disk_s3, fig1_torus, fig5_diagram, fig6_annulus
-from morsebook.geometry import DegenerateGeometry, segment_meet_torus
 
 
 def test_disk_is_valid():
@@ -279,17 +278,15 @@ def _oracle_disjointness(d):
             loc = "pair %d/%d" % (d.trace_pairs[i1].id, d.trace_pairs[i2].id)
             for n1, (si1, p1, p2) in enumerate(segs1):
                 for n2, (si2, q1, q2) in enumerate(segs2):
-                    if a == b and (n2 <= n1 or n2 == n1 + 1):
+                    if a == b and n2 <= n1:
                         continue
-                    if a == b and n1 == 0 and n2 == len(segs1) - 1:
-                        continue
-                    try:
-                        hits = segment_meet_torus(p1, p2, q1, q2)
-                    except DegenerateGeometry:
+                    # consecutive along one curve, and through its closure
+                    joined = a == b and (n2 == n1 + 1 or (n1 == 0 and n2 == len(segs1) - 1))
+                    hits, error = translate_meets(p1, p2, q1, q2, joined)
+                    if error is not None:
                         if not _is_contact(contacts, c1.torus, (p1, p2, q1, q2)):
                             out.append((loc, "trace curves touch degenerately away from teleports"))
-                        continue
-                    if hits:
+                    elif hits:
                         out.append((loc, "trace curves cross transversally"))
     return out
 

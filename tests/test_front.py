@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
+import functools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     almond,
@@ -11,6 +14,7 @@ from conftest import (
     random_annulus_diagram,
     random_identity_diagram,
     random_move_sites,
+    translate_meets,
 )
 
 from morsebook.diagram import PLUS, curve_orientation
@@ -18,6 +22,7 @@ from morsebook.fixtures import (
     disk_s3,
     disk_s3_unknot,
     fig1_torus,
+    fig5_diagram,
     fig5_lambda,
     fig5_lambda_prime,
 )
@@ -36,10 +41,12 @@ from morsebook.front import (
     cylinder_class,
     front_class,
     lk_binding,
+    null_trace_crossings,
     trace_crossings,
     validate_front,
 )
-from morsebook.geometry import DegenerateGeometry, det, segment_meet_torus, sub, torus_meets
+from morsebook.geometry import DegenerateGeometry, det, sub, torus_meets
+from morsebook.resolution import _horizontal_sum, _multiplicities, _total_resolution
 from morsebook.validation import InvalidInput
 
 
@@ -276,7 +283,9 @@ def test_orientation_reversal_negates_classes_and_swaps_cusps():
 # torus_meets against the all-pairs loops it replaced
 
 def _oracle_crossings_raw(f):
-    """The all-pairs Fraction loop of crossings_raw, for reference."""
+    """The all-pairs, all-translates Fraction loop of crossings_raw, for
+    reference: segments adjacent in one component are joined, so only
+    the translate where they share their vertex is left out."""
     segs = list(f.all_segments())
     out = []
     for a_idx in range(len(segs)):
@@ -285,27 +294,13 @@ def _oracle_crossings_raw(f):
             ci2, i2, t2, a2, b2 = segs[b_idx]
             if t1 != t2:
                 continue
-            if ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2):
-                continue
-            try:
-                hits = segment_meet_torus(a1, b1, a2, b2)
-            except DegenerateGeometry:
-                if ci1 == ci2 and i1 == i2:
-                    continue
-                raise
+            joined = ci1 == ci2 and _adjacent_segments(f.components[ci1], i1, i2)
+            hits, error = translate_meets(a1, b1, a2, b2, joined)
+            if error is not None:
+                raise DegenerateGeometry(error)
             for s, u, point in hits:
                 out.append(_make_crossing(t1, point, (ci1, i1, a1, b1), (ci2, i2, a2, b2)))
     return out
-
-
-def _oracle_pair(a1, b1, a2, b2):
-    """segment_meet_torus on one pair as (hits, first degenerate message)."""
-    try:
-        segment_meet_torus(a1, b1, a2, b2)
-        error = None
-    except DegenerateGeometry as e:
-        error = str(e)
-    return segment_meet_torus(a1, b1, a2, b2, skip_degenerate=True), error
 
 
 def _oracle_front_trace_pairs(d, f):
@@ -316,7 +311,7 @@ def _oracle_front_trace_pairs(d, f):
             if curve.torus != torus:
                 continue
             for _, q1, q2 in curve.segments():
-                hits, error = _oracle_pair(a, b, q1, q2)
+                hits, error = translate_meets(a, b, q1, q2)
                 if hits or error:
                     yield (ci, i, torus, a, b, pi, side, q1, q2, hits, error)
 
@@ -387,7 +382,7 @@ SEAM_CASES = {
 @pytest.mark.parametrize("name", sorted(SEAM_CASES))
 def test_kernel_matches_all_pairs_across_the_seams(name):
     a1, b1, a2, b2, count = SEAM_CASES[name]
-    hits, error = _oracle_pair(a1, b1, a2, b2)
+    hits, error = translate_meets(a1, b1, a2, b2)
     assert len(hits) == count
     assert (error == "endpoint contact") == (name == "endpoint touch")
     met = [(hits, error)] if hits or error else []
@@ -395,3 +390,42 @@ def test_kernel_matches_all_pairs_across_the_seams(name):
     assert list(torus_meets([(0, a1, b1)], [(0, a2, b2)])) == [(0, 0) + m for m in met]
     # a segment on another torus never pairs up
     assert list(torus_meets([(0, a1, b1), (1, a2, b2)])) == []
+
+
+# ---------------------------------------------------------------------
+# a segment stretched past one unit crosses its neighbours' translates
+
+@functools.cache
+def _stretch_bases():
+    """Valid (diagram, front) pairs: the fixture fronts and move walks."""
+    rng = random.Random(29)
+    out = [(disk_s3(), disk_s3_unknot()), (fig5_diagram(), fig5_lambda()), (fig5_diagram(), fig5_lambda_prime())]
+    for d, f in ((disk_s3(), disk_s3_unknot()), (fig5_diagram(), fig5_lambda())):
+        out += [(d, g) for g in list(move_walk(rng, d, f, 12))[4::4]]
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from((-2, -1, 1, 2)))
+def test_a_vertex_moved_by_whole_units_keeps_crossings_and_resolution_exact(base, pick, dx):
+    """One vertex moved by an integer in x: same point on the torus, but
+    its two segments now span more than one unit.  ``crossings_raw``
+    matches the all-translates oracle, and on a valid front that is null
+    in the cylinder the total resolution's horizontal sum is the
+    formula's."""
+    bases = _stretch_bases()
+    d, f = bases[base % len(bases)]
+    comp = f.components[0]
+    verts = list(comp.vertices)
+    vi = pick % len(verts)
+    verts[vi] = verts[vi].shifted(dx, 0)
+    g = FrontProjection([FrontComponent(comp.torus, verts, comp.closure)] + f.components[1:])
+    assert _outcome(crossings_raw, g) == _outcome(_oracle_crossings_raw, g)
+    if not validate_front(d, g).ok:
+        return
+    try:
+        null_trace_crossings(d, g)
+    except InvalidInput:
+        return  # not null in the cylinder: no resolution to build
+    m = _multiplicities(d, g)
+    assert _total_resolution(d, g, m).horizontal_sum() == _horizontal_sum(d, g, m)

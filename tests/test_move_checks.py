@@ -39,7 +39,6 @@ from morsebook.diagram import MorseDiagram, TraceCurve, TracePair
 from morsebook.fileio import front_doc
 from morsebook.fixtures import disk_s3, disk_s3_unknot, fig1_torus, fig5_diagram, fig5_lambda, fig5_lambda_prime
 from morsebook.front import CUSP, PLAIN, FrontComponent, FrontProjection, Vertex, _rewrite_is_valid, crossings, validate_front
-from morsebook.geometry import DegenerateGeometry
 from morsebook.moves import MOVE_NAMES, _step, apply_move, apply_script
 from morsebook.validation import InvalidInput
 
@@ -114,7 +113,7 @@ def _sound_step(d, f, move, site):
     valid; (next front, whether the full check refused the output)."""
     try:
         out, window = _step(d, f, move, site)
-    except (InvalidInput, DegenerateGeometry):
+    except InvalidInput:
         return f, False
     valid = validate_front(d, out).ok
     assert valid or not _rewrite_is_valid(d, out, *window), (move, site)
@@ -130,7 +129,7 @@ def _fold(d, f, script):
 def _outcome(fn, d, f, script):
     try:
         return "front", front_doc(fn(d, f, script))
-    except (InvalidInput, DegenerateGeometry) as e:
+    except InvalidInput as e:
         return "raised", type(e).__name__, str(e)
 
 
@@ -154,7 +153,7 @@ def test_a_script_answers_as_a_fold_of_apply_move(base, specs):
         script.append({"move": move, "site": site})
         try:
             cur = apply_move(d, cur, move, site)
-        except (InvalidInput, DegenerateGeometry):
+        except InvalidInput:
             break
     assert _outcome(apply_script, d, f, script) == _outcome(_fold, d, f, script)
 

@@ -197,6 +197,9 @@ def test_pattern_not_found_on_bad_sites():
         apply_move(d, f, "r1_inv", {"component": 0, "vertex": 0})
     with pytest.raises(PatternNotFound):
         apply_move(d, f, "cusp_trace", {"component": 0, "vertex": 1, "pair": 1, "side": "plus"})
+    # the tip level with both neighbours' x: a cusp between two verticals
+    with pytest.raises(PatternNotFound, match="nudge would flip the cusp"):
+        apply_move(d, f, "s1", {"component": 0, "vertex": 0, "depth": F(-1, 5)})
     with pytest.raises(InvalidInput):
         apply_move(d, f, "nonsense", {})
 

@@ -10,6 +10,7 @@ from conftest import (
     random_almond_front,
     random_identity_diagram,
     random_move_sites,
+    translate_meets,
 )
 
 from morsebook.diagram import MINUS, PLUS, MorseDiagram, TraceCurve, TracePair
@@ -270,18 +271,28 @@ def test_endpoint_consumption_and_circle_count():
         assert c.kind in ("disc", "horizontal")
 
 
-def _share_endpoint_mod1(a1, b1, a2, b2):
-    s1 = {(a1[0] % 1, a1[1] % 1), (b1[0] % 1, b1[1] % 1)}
-    s2 = {(a2[0] % 1, a2[1] % 1), (b2[0] % 1, b2[1] % 1)}
-    return bool(s1 & s2)
+def _joined_segments(pieces):
+    """The (piece, segment) pairs that the construction joins, as sets:
+    consecutive segments of one piece (through the closure of a closed
+    one), and the last segment of an open piece with the first segment
+    of the piece that starts where it ends."""
+    starts = {(p.torus, p.start[0] % 1, p.start[1] % 1): pi for pi, p in enumerate(pieces) if not p.closed}
+    out = set()
+    for pi, piece in enumerate(pieces):
+        n = len(list(piece.segments()))
+        out.update(frozenset({(pi, si), (pi, si + 1)}) for si in range(n - 1))
+        if piece.closed:
+            out.add(frozenset({(pi, n - 1), (pi, 0)}))
+        else:
+            nxt = starts[(piece.torus, piece.end[0] % 1, piece.end[1] % 1)]
+            out.add(frozenset({(pi, n - 1), (nxt, 0)}))
+    return out
 
 
 def union_find_circles(res):
     """Independent Seifert-circle count: union sub-edges directly."""
-    from morsebook.geometry import segment_meet_torus
-    from morsebook.resolution import _cyclically_adjacent
-
     pieces = res.pieces
+    joined = _joined_segments(pieces)
     seglist = []
     for pi, piece in enumerate(pieces):
         for si, a, b in piece.segments():
@@ -295,10 +306,9 @@ def union_find_circles(res):
             pj, sj, a2, b2 = seglist[j]
             if pieces[pi].torus != pieces[pj].torus:
                 continue
-            if pi == pj and _cyclically_adjacent(pieces[pi], si, sj):
-                continue
-            shared = _share_endpoint_mod1(a1, b1, a2, b2)
-            for s, u, _ in segment_meet_torus(a1, b1, a2, b2, skip_degenerate=shared):
+            hits, error = translate_meets(a1, b1, a2, b2, frozenset({(pi, si), (pj, sj)}) in joined)
+            assert error is None, (seglist[i], seglist[j], error)
+            for s, u, _ in hits:
                 cid = n_crossings
                 n_crossings += 1
                 cross_params.setdefault((pi, si), []).append((s, cid, 0))

@@ -16,6 +16,10 @@ temporary directory:
 - ``mutated``: fixtures with the seeded edits of the CLI contract test
   (``tests/test_cli_contract.py``, ``_mutate``), through every
   workspace subcommand and ``moves``;
+- ``stretched``: fixture fronts with one cusp or plain vertex moved by
+  one or two units in x, plus a seeded fraction half the time, away
+  from the vertex before it, so that the segment between them spans
+  more than one unit; through ``check``, ``rot`` and ``resolve``;
 - ``help``: ``-h`` of ``morsebook`` and of each subcommand, and usage
   errors, each with ``COLUMNS=60`` and with ``COLUMNS`` unset.
 
@@ -39,11 +43,13 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKOUT = os.path.dirname(HERE)
 WORKERS = 2
 MUTATED = 24
+STRETCHED = 24
 WALKS = 4
 WALK_STEPS = 5
 MOVES = (
@@ -213,6 +219,32 @@ def build_runs(seed, inputs):
             empty = _write(os.path.join(mutated, "%02d-empty.json" % i), _script([]))
             argv = ["moves", path, "--front", sorted(fronts)[0], "--script", empty]
             runs.append(("mutated", "moves %s empty script" % os.path.basename(path), argv, {}))
+
+    # fixture fronts with one segment stretched past one unit in x
+    stretched = os.path.join(inputs, "stretched")
+    os.makedirs(stretched)
+    rng = random.Random("compare-stretched/%d" % seed)
+    edits = set()
+    while len(edits) < STRETCHED:
+        name = rng.choice([n for n in sorted(docs) if docs[n].get("fronts")])
+        doc = copy.deepcopy(docs[name])
+        front = rng.choice(sorted(doc["fronts"]))
+        vertices = doc["fronts"][front]["components"][0]["vertices"]
+        k = rng.choice([k for k, v in enumerate(vertices) if isinstance(v[3], str)])
+        # away from the previous vertex, so the segment from it grows
+        x = Fraction(vertices[k][1])
+        away = 1 if x >= Fraction(vertices[k - 1][1]) else -1
+        dx = away * (rng.choice((1, 2)) + rng.choice((0, Fraction(rng.randrange(1, 64), 64))))
+        if (name, front, k, dx) in edits:
+            continue
+        edits.add((name, front, k, dx))
+        vertices[k][1] = str(x + dx)
+        path = _write(os.path.join(stretched, "%02d-%s" % (len(edits), name)), doc)
+        label = "%s %s vertex %d dx %s" % (os.path.basename(path), front, k, dx)
+        runs.append(("stretched", "check " + label, ["check", path, "--format", "json"], {}))
+        runs.append(("stretched", "rot " + label, ["rot", path, "--front", front], {}))
+        argv = ["resolve", path, "--front", front, "--out", "res.json", "--svg", "res.svg"]
+        runs.append(("stretched", "resolve " + label, argv, {}))
 
     # help and usage errors, with and without a terminal width
     for columns in ("60", None):
